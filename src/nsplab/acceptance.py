@@ -59,8 +59,8 @@ def gates_decay_fits() -> list:
             f"decay fit {label}", abs(fit.slope - target) <= 0.05,
             f"slope {fit.slope:.4f} vs target {target} (tol 0.05)"))
     elapsed = time.perf_counter() - t0
-    out.append(_gate("decay fit runtime", elapsed < 60.0,
-                     f"{elapsed:.1f}s (budget 60s)"))
+    out.append(_gate("decay fit runtime", elapsed < 10.0,
+                     f"{elapsed:.1f}s (budget 10s)"))
     return out
 
 
@@ -142,13 +142,17 @@ def gates_oracles() -> list:
     params = FluidParams()
     out = []
 
-    # closed-form 2x2 exponential vs scaling-and-squaring
+    # closed-form 2x2 exponential, one batched call over the (xi, t) grid,
+    # vs scaling-and-squaring per pair
+    xis = np.geomspace(1e-2, 10.0, 50)
+    ts = np.geomspace(1e-2, 10.0, 50)
+    blocks = ModeSymbol.from_params(params, xis).block
+    batched = expm2(blocks[:, None], ts)
     worst = 0.0
-    for xi in np.geomspace(1e-2, 10.0, 50):
-        B = ModeSymbol.from_params(params, xi).block
-        for t in np.geomspace(1e-2, 10.0, 50):
-            worst = max(worst,
-                        float(np.max(np.abs(expm2(B, t) - scipy_expm(t * B)))))
+    for i, B in enumerate(blocks):
+        for j, t in enumerate(ts):
+            worst = max(worst, float(np.max(np.abs(batched[i, j]
+                                                   - scipy_expm(t * B)))))
     out.append(_gate("2x2 exponential oracle", worst < 1e-10,
                      f"max entry deviation {worst:.3e} (tol 1e-10)"))
 

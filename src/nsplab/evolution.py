@@ -18,7 +18,7 @@ from .spectral import (Field, Grid, dealias, divergence, grad_norm, gradient,
                        inverse_transform, lp_norm, poisson_gradient,
                        sobolev_norm)
 from .steady import SteadyState
-from .semigroup import expm2
+from .semigroup import ModeSymbol, hodge_evolve, mode_exponential
 from .thermo import FluidParams, remainder
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "random_smooth_state",
     "rhs_nonlinear",
     "Integrator",
-    "step",
     "evolve",
     "default_dt",
 ]
@@ -248,47 +247,24 @@ class Integrator:
         self.params = params
         self.dt = dt
         self.grid = ss.rho_s.grid
-        self._prop_full = self._build_propagator(dt)
-        self._prop_half = self._build_propagator(0.5 * dt)
-
-    def _build_propagator(self, t):
-        grid, params = self.grid, self.params
-        kmag = grid.wavenumber_magnitude()
-        rb, hb, nu = params.rho_bar, params.h_prime_bar, params.nu
-        shape = grid.shape
-        E = np.empty(shape + (2, 2))
-        flat_k = kmag.ravel()
-        E_flat = E.reshape(-1, 2, 2)
-        for i, xi in enumerate(flat_k):
-            if xi == 0.0:
-                E_flat[i] = np.eye(2)
-            else:
-                B = np.array([[0.0, -rb * xi],
-                              [hb * xi + 1.0 / xi, -nu * xi * xi]])
-                E_flat[i] = expm2(B, t)
-        heat = np.exp(-params.mu / rb * kmag ** 2 * t)
-        return E, heat
+        kmag = self.grid.wavenumber_magnitude()
+        zero = kmag == 0.0
+        safe = np.where(zero, 1.0, kmag)
+        self._khat = self.grid.wavevectors() / safe
+        # dt and dt/2 propagators over the whole grid in one call; the k = 0
+        # mode is the identity (heat factor 1), so the velocity mean passes
+        # through _apply_linear unchanged
+        t = np.array([dt, 0.5 * dt]).reshape((2,) + (1,) * kmag.ndim)
+        E, heat = mode_exponential(ModeSymbol.from_params(params, safe), t)
+        E[:, zero] = np.eye(2)
+        heat[:, zero] = 1.0
+        self._prop_full = E[0], heat[0]
+        self._prop_half = E[1], heat[1]
 
     def _apply_linear(self, rho_spec, u_spec, prop):
         E, heat = prop
-        grid = self.grid
-        k = grid.wavevectors()
-        kmag = grid.wavenumber_magnitude()
-        safe = np.where(kmag > 0, kmag, 1.0)
-        khat = k / safe
-        du = sum(khat[a] * u_spec[a] for a in range(grid.dim)) * 1j
-        rho_new = E[..., 0, 0] * rho_spec + E[..., 0, 1] * du
-        d_new = E[..., 1, 0] * rho_spec + E[..., 1, 1] * du
-        u_new = np.empty_like(u_spec)
-        proj = sum(khat[a] * u_spec[a] for a in range(grid.dim))
-        for a in range(grid.dim):
-            uperp = u_spec[a] - proj * khat[a]
-            u_new[a] = -1j * d_new * khat[a] + heat * uperp
-        # zero mode: identity on velocity, density pinned to zero
-        zidx = (0,) * grid.dim
-        rho_new[zidx] = 0.0
-        for a in range(grid.dim):
-            u_new[(a,) + zidx] = u_spec[(a,) + zidx]
+        rho_new, u_new = hodge_evolve(E, heat, self._khat, rho_spec, u_spec)
+        rho_new[(0,) * self.grid.dim] = 0.0      # density zero mode pinned
         return rho_new, u_new
 
     def _specs(self, state):
@@ -326,12 +302,6 @@ class Integrator:
             raise EvolutionError(f"non-finite field at t={new.t:.6g}", new)
         new.check(self.ss)
         return new
-
-
-def step(state: PerturbationState, ss: SteadyState, params: FluidParams,
-         dt: float) -> PerturbationState:
-    """One-off single step (builds a throwaway integrator)."""
-    return Integrator(ss, params, dt).step(state)
 
 
 @dataclass(frozen=True)
@@ -412,13 +382,23 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
            keep_trajectory: bool = False, snapshot_cb=None):
     """Advance the perturbation to t_end, emitting EnergyReports.
 
-    On blow-up or positivity loss the trajectory is truncated and the
-    partial reports are returned inside the raised EvolutionError (attribute
-    ``reports``)."""
+    Steps of size dt are taken while they fit, then one shortened step lands
+    on t_end; when t_end / dt is within 1e-9 relative of an integer, exactly
+    that many full steps are taken.  The final state's t is t_end.  On blow-up or positivity loss the
+    trajectory is truncated and the partial reports are returned inside the
+    raised EvolutionError (attribute ``reports``)."""
+    if t_end < 0:
+        raise ValueError("t_end must be nonnegative")
     cfg = diagnostics or DiagnosticsConfig()
     if dt is None:
         dt = default_dt(params, initial.grid)
-    stepper = Integrator(ss, params, dt)
+    ratio = t_end / dt
+    nfull = round(ratio)
+    shortened = abs(ratio - nfull) > 1e-9 * ratio
+    if shortened:
+        nfull = int(np.floor(ratio))
+    nsteps = nfull + shortened
+    stepper = Integrator(ss, params, dt) if nfull else None
     zeta = cfg.zeta
 
     reports = []
@@ -455,15 +435,18 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
     state = initial
     prev_diss_integrand = diss_integrand(state)
     push_report(state)
-    nsteps = int(round(t_end / dt))
     for istep in range(1, nsteps + 1):
+        if istep > nfull:
+            stepper = Integrator(ss, params, t_end - state.t)
         try:
             state = stepper.step(state)
         except EvolutionError as err:
             err.reports = reports
             raise
+        if istep == nsteps:
+            state.t = t_end          # summed full steps carry rounding in t
         cur = diss_integrand(state)
-        diss += 0.5 * dt * (prev_diss_integrand + cur)   # trapezoidal
+        diss += 0.5 * stepper.dt * (prev_diss_integrand + cur)   # trapezoidal
         prev_diss_integrand = cur
         if keep_trajectory:
             trajectory.append(state)

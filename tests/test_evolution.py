@@ -161,6 +161,19 @@ class TestEvolveDriver:
                          keep_trajectory=True)
         assert len(traj) == 6
 
+    @pytest.mark.parametrize("t_end,dt,times", [
+        (1.0, 0.4, [0.0, 0.4, 0.8, 1.0]),     # last step shortened to 0.2
+        (1.0, None, None),                    # default step, no whole number
+        (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),     # 0.3 / 0.1 rounds to 3 steps
+    ])
+    def test_final_report_reaches_t_end(self, bumpy_ss, t_end, dt, times):
+        s0 = random_smooth_state(GRID, seed=6, amplitude=1e-3)
+        traj, reports = evolve(s0, bumpy_ss, PARAMS, t_end=t_end, dt=dt,
+                               keep_trajectory=True)
+        assert reports[-1].t == t_end
+        if times is not None:
+            assert [s.t for s in traj] == pytest.approx(times)
+
     def test_blowup_reports_partial_history(self, flat_ss):
         s0 = single_mode_state(GRID, amplitude=0.9, with_velocity=True)
         with pytest.raises(EvolutionError) as exc:

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
 from nsplab.semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
-                              decay_curve, evolve_full_symbol, expm2,
-                              fit_exponent, initial_profile,
-                              mode_exponential, split_evolve_mode)
+                              QuadratureError, decay_curve,
+                              evolve_full_symbol, expm2, fit_exponent,
+                              initial_profile, mode_exponential,
+                              split_evolve_mode)
 from nsplab.thermo import FluidParams, GammaLaw
 
 PARAMS = FluidParams()
@@ -18,11 +19,6 @@ class TestExpm2:
            t=st.floats(0.01, 5.0))
     def test_matches_scaling_and_squaring(self, entries, t):
         M = np.array(entries).reshape(2, 2)
-        m = 0.5 * (M[0, 0] + M[1, 1])
-        det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-        # keep clear of the ill-conditioned near-defective window between
-        # the closed form and its series fallback
-        assume(not 1e-9 < abs(m * m - det) < 1e-3)
         ref = scipy_expm(t * M)
         # accuracy is absolute, relative to the dominant entry
         tol = 1e-9 * max(1.0, float(np.max(np.abs(ref))))
@@ -43,13 +39,65 @@ class TestExpm2:
 
     def test_very_strong_damping_underflows_cleanly(self):
         sym = ModeSymbol.from_params(PARAMS, 50.0)
-        E = expm2(sym.block, 1e4)       # slow branch ~ exp(-1e4)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            E = expm2(sym.block, 1e4)       # slow branch ~ exp(-1e4)
         assert np.all(np.isfinite(E))
         assert np.max(np.abs(E)) < 1e-300
 
     def test_identity_at_t_zero(self):
         M = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_allclose(expm2(M, 0.0), np.eye(2), atol=1e-14)
+        rng = np.random.default_rng(1)
+        batch = rng.uniform(-5, 5, size=(20, 2, 2))
+        np.testing.assert_array_equal(expm2(batch, 0.0),
+                                      np.broadcast_to(np.eye(2), batch.shape))
+
+    def test_batched_equals_stacked_scalar_calls(self):
+        rng = np.random.default_rng(2)
+        Ms = rng.uniform(-5, 5, size=(200, 2, 2))
+        ts = rng.uniform(0.01, 5.0, size=200)
+        stacked = np.array([expm2(M, t) for M, t in zip(Ms, ts)])
+        batched = expm2(Ms, ts)
+        assert batched.shape == (200, 2, 2)
+        # equal up to the last bits in which numpy's vectorized exp/sin/cos
+        # may differ from their one-element results
+        scale = np.max(np.abs(stacked), axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(batched - stacked) <= 2e-15 * scale)
+
+    def test_t_broadcasts_against_leading_shape(self):
+        rng = np.random.default_rng(3)
+        Ms = rng.uniform(-2, 2, size=(3, 2, 2))
+        ts = np.array([0.1, 1.0, 2.5, 7.0])
+        E = expm2(Ms, ts[:, None])
+        assert E.shape == (4, 3, 2, 2)
+        assert expm2(Ms, 0.5).shape == (3, 2, 2)
+        assert expm2(Ms[0], ts).shape == (4, 2, 2)
+        for i, t in enumerate(ts):
+            for j, M in enumerate(Ms):
+                np.testing.assert_allclose(E[i, j], expm2(M, t),
+                                           rtol=0, atol=1e-15 * np.max(np.abs(E[i, j])))
+
+    def test_eigenvalue_collision_window(self):
+        # near xi_c, nu^2 xi^4 = 4 rho_bar (1 + hb xi^2), the eigenvalues
+        # collide; sweep |delta| from 1e-12 to 1e-3 on both sides against a
+        # 40-digit reference
+        mpmath = pytest.importorskip("mpmath")
+        rb, hb, nu = PARAMS.rho_bar, PARAMS.h_prime_bar, PARAMS.nu
+        xi_c = np.sqrt((rb * hb + np.sqrt((rb * hb) ** 2 + nu * nu * rb))
+                       * 2.0 / (nu * nu))
+        ddelta = nu * nu * xi_c ** 3 - 2.0 * rb * hb * xi_c   # d delta / d xi
+        worst = 0.0
+        with mpmath.workdps(40):
+            for target in np.geomspace(1e-12, 1e-3, 10):
+                for side in (-1.0, 1.0):
+                    B = ModeSymbol.from_params(
+                        PARAMS, xi_c + side * target / ddelta).block
+                    for t in (0.05, 0.5, 2.0, 5.0, 20.0):
+                        ref = mpmath.expm(mpmath.matrix(B.tolist()) * mpmath.mpf(t))
+                        ref = np.array(ref.tolist(), dtype=float)
+                        err = np.max(np.abs(expm2(B, t) - ref)) / np.max(np.abs(ref))
+                        worst = max(worst, err)
+        assert worst <= 1e-13
 
 
 class TestModeSymbol:
@@ -86,6 +134,25 @@ class TestModeSymbol:
     def test_rejects_zero_mode(self):
         with pytest.raises(ValueError):
             ModeSymbol.from_params(PARAMS, 0.0)
+        with pytest.raises(ValueError):
+            ModeSymbol.from_params(PARAMS, np.array([1.0, 0.0]))
+
+    def test_array_of_wavenumbers(self):
+        xis = np.array([0.01, 0.7, 1.5537, 30.0])
+        sym = ModeSymbol.from_params(PARAMS, xis)
+        E, heat = mode_exponential(sym, 0.9)
+        for i, xi in enumerate(xis):
+            one = ModeSymbol.from_params(PARAMS, xi)
+            np.testing.assert_array_equal(sym.block[i], one.block)
+            E1, h1 = mode_exponential(one, 0.9)
+            np.testing.assert_allclose(E[i], E1, rtol=0,
+                                       atol=1e-15 * np.max(np.abs(E1)))
+            assert heat[i] == pytest.approx(h1, rel=1e-15)
+            # the block is the similarity D B D^{-1} of the normalized one
+            D = np.diag([xi, 1.0])
+            np.testing.assert_allclose(
+                D @ one.normalized_block @ np.linalg.inv(D), one.block,
+                rtol=1e-15)
 
 
 class TestSplitVsFull:
@@ -158,6 +225,23 @@ class TestDecayCurves:
         q = LinearDecayQuery(q=np.inf, component="velocity")
         fit = fit_exponent(decay_curve(q, np.geomspace(1e2, 1e4, 25)))
         assert fit.slope == pytest.approx(-1.5, abs=0.05)
+
+    def test_refinement_failure_names_first_time(self):
+        # 4 nodes per panel is too coarse at most of these times, but not
+        # at the first
+        q = LinearDecayQuery(component="velocity")
+        times = np.geomspace(1e3, 1e4, 12)
+
+        def norms(n):
+            return np.array([v for _, v in decay_curve(
+                q, times, nodes_per_panel=n, check_refinement=False)])
+
+        coarse, fine = norms(4), norms(8)
+        bad = np.abs(coarse - fine) > 1e-6 * fine
+        assert not bad[0] and bad.any()
+        first = times[int(np.argmax(bad))]
+        with pytest.raises(QuadratureError, match=f"t={first}:"):
+            decay_curve(q, times, nodes_per_panel=4)
 
     def test_rejects_bad_times(self):
         q = LinearDecayQuery()
