@@ -3,10 +3,10 @@ flow around doped steady states: steady solves, exact linear mode
 semigroups with whole-space decay curves, and nonlinear perturbation
 evolution with energy and weighted-decay diagnostics."""
 
-from .spectral import (Field, Grid, MeanZeroError, MultiplierNorm, dealias,
-                       divergence, frac_derivative, gn_interpolation_check,
-                       grad_norm, gradient, inverse_laplacian, laplacian,
-                       lp_norm, norm, poisson_gradient, sobolev_norm)
+from .spectral import (Field, Grid, MeanZeroError, dealias, divergence,
+                       frac_derivative, gn_interpolation_check, grad_norm,
+                       gradient, inverse_laplacian, laplacian, lp_norm,
+                       poisson_gradient, sobolev_norm)
 from .arrayio import read_field, write_field
 from .thermo import (FluidParams, GammaLaw, PressureLaw, TabulatedLaw,
                      remainder)

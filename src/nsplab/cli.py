@@ -17,8 +17,8 @@ import numpy as np
 from .arrayio import write_field
 from .config import ExperimentConfig
 from .evolution import DiagnosticsConfig, evolve
-from .pipeline import (render_float, run_decay_query, run_pipeline,
-                       target_exponent, write_csv)
+from .pipeline import (run_decay_query, run_pipeline, write_csv,
+                       write_energy_csv)
 from .semigroup import LinearDecayQuery, fit_exponent
 from .spectral import Grid
 from .steady import doping_from_name, solve_steady, verify_steady
@@ -149,11 +149,7 @@ def cmd_evolve(args):
                         report_every=args.report_every,
                         diagnostics=DiagnosticsConfig(k=args.k),
                         snapshot_cb=snapshot)
-    header = ["t", "hk_rho", "hk_u", "grad_phi_l2", "dissipation",
-              "energy_lhs", "script_l", "script_m", "script_h", "script_j",
-              "script_n", "script_k"]
-    rows = [[getattr(rep, name) for name in header] for rep in reports]
-    write_csv(outdir / "energy.csv", header, rows)
+    write_energy_csv(outdir / "energy.csv", reports)
     write_field(outdir / "final_rho.nspf", last_state[0].rho)
     write_field(outdir / "final_u.nspf", last_state[0].u)
     _emit({

@@ -10,13 +10,13 @@ symbols; the latter drives the exponential (Lawson midpoint) integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral import (Field, Grid, dealias, divergence, grad_norm, gradient,
-                       inverse_transform, lp_norm, poisson_gradient,
-                       sobolev_norm)
+                       inverse_transform, irfftn, lp_norm, poisson_gradient,
+                       real_layout, rfftn, sobolev_norm)
 from .steady import SteadyState
 from .semigroup import ModeSymbol, hodge_evolve, mode_exponential
 from .thermo import FluidParams, remainder
@@ -30,6 +30,8 @@ __all__ = [
     "single_mode_state",
     "random_smooth_state",
     "rhs_nonlinear",
+    "nonlinear_terms",
+    "Background",
     "Integrator",
     "evolve",
     "default_dt",
@@ -60,6 +62,10 @@ class PerturbationState:
     @property
     def grid(self) -> Grid:
         return self.rho.grid
+
+    def coefficients(self):
+        """(rho_hat, u_hat) on the real-FFT half grid."""
+        return self.rho.coefficients(), self.u.coefficients()
 
     def potential(self) -> Field:
         """Mean-zero Phi with Lap Phi = rho."""
@@ -146,80 +152,120 @@ def _scalar_times_vector(s: np.ndarray, v: Field) -> Field:
     return dealias(Field(v.grid, s[None, :] * v.values))
 
 
+class Background:
+    """What the constant-coefficient form needs of the steady state and the
+    fluid, evaluated once: rho_s - rho_bar, h'(rho_s) - h'(rho_bar),
+    h'(rho_bar) and the real-layout symbols."""
+
+    def __init__(self, ss: SteadyState, params: FluidParams):
+        self.params = params
+        self.rho_s = ss.rho_s
+        self.grid = ss.rho_s.grid
+        self.layout = real_layout(self.grid)
+        self.ik_mask = self.layout.ik * self.layout.mask
+        self.mu_lap = -params.mu * self.layout.kmag ** 2
+        self.hp_bar = params.h_prime_bar
+        self.carried = ss.rho_s.values - params.rho_bar
+        self.hp_jump = np.asarray(params.law.h_prime(ss.rho_s.values)) - self.hp_bar
+
+
+def _dot(a, b):
+    return sum(a[i] * b[i] for i in range(len(a)))
+
+
+def _viscous_hat(u_hat, bg: Background):
+    """mu Lap u + (mu + mu') grad div u on the real layout; at Nyquist
+    modes grad div keeps its even products (see `RealLayout`)."""
+    lay, params = bg.layout, bg.params
+    grad_div = (lay.ik * _dot(lay.ik, u_hat)
+                - lay.k_nyquist * _dot(lay.k_nyquist, u_hat))
+    return bg.mu_lap * u_hat + (params.mu + params.mu_prime) * grad_div
+
+
 def rhs_nonlinear(state: PerturbationState, ss: SteadyState,
                   params: FluidParams, form: str = "constant"):
     """Time derivative (d rho / dt, d u / dt) of the perturbation system.
 
-    form="variable" keeps the coefficients at rho_s; form="constant"
-    freezes them at rho_bar and carries the difference in the nonlinear
-    terms.  Both are assembled pseudo-spectrally with dealiased products
-    and agree up to roundoff.
+    form="variable" keeps the coefficients at rho_s and is assembled on
+    the full complex layout, independently of the integrator; it is the
+    oracle for form="constant", which freezes the coefficients at rho_bar:
+    the linear part matching the mode symbols plus `nonlinear_terms`.
+    Both use dealiased products and agree up to roundoff.
     """
+    if form not in ("variable", "constant"):
+        raise ValueError("form must be 'variable' or 'constant'")
     state.check(ss)
     grid = state.grid
-    law = params.law
-    rho_s, rho_bar = ss.rho_s, params.rho_bar
-    total = state.rho.values + rho_s.values
-
     visc = _viscous(params, state.u)
     grad_phi = state.grad_potential()
+    if form == "constant":
+        bg = Background(ss, params)
+        n1, n2 = nonlinear_terms(state.rho.values, state.u.values,
+                                 *state.coefficients(), bg)
+        drho = -params.rho_bar * divergence(state.u).values + irfftn(grid, n1)
+        du = (-bg.hp_bar * gradient(state.rho).values
+              + visc.values / params.rho_bar + grad_phi.values
+              + irfftn(grid, n2))
+        return Field(grid, drho), Field(grid, du)
+
+    law = params.law
+    rho_s = ss.rho_s
+    total = state.rho.values + rho_s.values
     adv = _advection(state.u)
     grad_R = gradient(dealias(remainder(law, state.rho, rho_s)))
-
-    if form == "variable":
-        # d rho/dt = -div(rho_s u) - div(rho u)
-        drho = -(divergence(_scalar_times_vector(rho_s.values, state.u)).values
-                 + divergence(_scalar_times_vector(state.rho.values, state.u)).values)
-        hp_s = np.asarray(law.h_prime(rho_s.values))
-        press = gradient(dealias(Field(grid, hp_s * state.rho.values)))
-        inv_coeff = dealias(Field(grid, 1.0 / rho_s.values))
-        visc_term = _scalar_times_vector(inv_coeff.values, visc)
-        inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_s.values))
-        du = (-press.values + visc_term.values + grad_phi.values
-              - adv.values - grad_R.values
-              + _scalar_times_vector(inv_jump.values, visc).values)
-    elif form == "constant":
-        hp_bar = params.h_prime_bar
-        carried = Field(grid, state.rho.values + (rho_s.values - rho_bar))
-        drho = -(rho_bar * divergence(state.u).values
-                 + divergence(_scalar_times_vector(carried.values, state.u)).values)
-        hp_s = np.asarray(law.h_prime(rho_s.values))
-        press_lin = gradient(state.rho)
-        press_jump = gradient(dealias(
-            Field(grid, (hp_s - hp_bar) * state.rho.values)))
-        inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_bar))
-        du = (-hp_bar * press_lin.values + visc.values / rho_bar
-              + grad_phi.values
-              - adv.values - grad_R.values - press_jump.values
-              + _scalar_times_vector(inv_jump.values, visc).values)
-    else:
-        raise ValueError("form must be 'variable' or 'constant'")
+    # d rho/dt = -div(rho_s u) - div(rho u)
+    drho = -(divergence(_scalar_times_vector(rho_s.values, state.u)).values
+             + divergence(_scalar_times_vector(state.rho.values, state.u)).values)
+    hp_s = np.asarray(law.h_prime(rho_s.values))
+    press = gradient(dealias(Field(grid, hp_s * state.rho.values)))
+    inv_coeff = dealias(Field(grid, 1.0 / rho_s.values))
+    visc_term = _scalar_times_vector(inv_coeff.values, visc)
+    inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_s.values))
+    du = (-press.values + visc_term.values + grad_phi.values
+          - adv.values - grad_R.values
+          + _scalar_times_vector(inv_jump.values, visc).values)
     return Field(grid, drho), Field(grid, du)
 
 
-def nonlinear_terms(state: PerturbationState, ss: SteadyState,
-                    params: FluidParams):
-    """(N1, N2) of the constant-coefficient form: the full right-hand side
-    minus the linear part matching the mode symbols."""
-    grid = state.grid
-    law = params.law
-    rho_s, rho_bar = ss.rho_s, params.rho_bar
-    total = state.rho.values + rho_s.values
-    hp_bar = params.h_prime_bar
-    hp_s = np.asarray(law.h_prime(rho_s.values))
+def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
+    """(N1, N2) of the constant-coefficient form as real-layout
+    coefficients: the full right-hand side minus the linear part matching
+    the mode symbols.
 
-    carried = Field(grid, state.rho.values + (rho_s.values - rho_bar))
-    n1 = -divergence(_scalar_times_vector(carried.values, state.u)).values
+    rho, u are one stage's physical samples and rho_hat, u_hat their
+    `rfftn` coefficients.  grad u and the viscous term come back from one
+    inverse transform; the quadratic products go forward in one transform,
+    summed where they share a symbol, and are dealiased by the 2/3 mask.
+    """
+    grid, lay, params = bg.grid, bg.layout, bg.params
+    dim = grid.dim
+    half = rho_hat.shape
+    hat = np.empty((dim * dim + dim,) + half, dtype=complex)
+    np.multiply(u_hat[:, None], lay.ik[None, :],
+                out=hat[:dim * dim].reshape((dim, dim) + half))
+    hat[dim * dim:] = _viscous_hat(u_hat, bg)
+    phys = irfftn(grid, hat)
+    grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
+    visc = phys[dim * dim:]
 
-    visc = _viscous(params, state.u)
-    adv = _advection(state.u)
-    grad_R = gradient(dealias(remainder(law, state.rho, rho_s)))
-    press_jump = gradient(dealias(
-        Field(grid, (hp_s - hp_bar) * state.rho.values)))
-    inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_bar))
-    n2 = (-adv.values - grad_R.values - press_jump.values
-          + _scalar_times_vector(inv_jump.values, visc).values)
-    return Field(grid, n1), Field(grid, n2)
+    total = rho + bg.rho_s.values
+    R = remainder(params.law, Field(grid, rho), bg.rho_s).values
+    # 1/(rho_s + rho) - 1/rho_bar multiplies visc pointwise, so it is
+    # dealiased on its own first
+    inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / params.rho_bar)).values
+
+    # [(rho + rho_s - rho_bar) u, inv_jump visc - u . grad u,
+    #  R + (h'(rho_s) - h'(rho_bar)) rho]
+    prod = np.empty((2 * dim + 1,) + grid.shape)
+    np.multiply(rho + bg.carried, u, out=prod[:dim])
+    np.multiply(inv_jump, visc, out=prod[dim:2 * dim])
+    prod[dim:2 * dim] -= np.sum(u[None] * grad_u, axis=1)
+    np.multiply(bg.hp_jump, rho, out=prod[2 * dim])
+    prod[2 * dim] += R
+    c = rfftn(grid, prod)
+    n1 = -_dot(bg.ik_mask, c[:dim])
+    n2 = lay.mask * c[dim:2 * dim] - bg.ik_mask * c[2 * dim]
+    return n1, n2
 
 
 def default_dt(params: FluidParams, grid: Grid, cfl: float = 0.4) -> float:
@@ -232,12 +278,13 @@ def default_dt(params: FluidParams, grid: Grid, cfl: float = 0.4) -> float:
 
 
 class Integrator:
-    """Lawson (exponential) midpoint stepper.
+    """Lawson (exponential) midpoint stepper on real-FFT coefficients.
 
     The constant-coefficient linear part is applied exactly per mode using
     the Hodge-split 2x2 semigroup; the nonlinear terms are advanced by an
     explicit two-stage midpoint update.  The density zero mode is pinned to
-    zero, conserving mass exactly.
+    zero, conserving mass exactly.  States the stepper produces carry their
+    coefficients, so the next step transforms nothing forward.
     """
 
     def __init__(self, ss: SteadyState, params: FluidParams, dt: float):
@@ -247,56 +294,65 @@ class Integrator:
         self.params = params
         self.dt = dt
         self.grid = ss.rho_s.grid
-        kmag = self.grid.wavenumber_magnitude()
-        zero = kmag == 0.0
-        safe = np.where(zero, 1.0, kmag)
-        self._khat = self.grid.wavevectors() / safe
-        # dt and dt/2 propagators over the whole grid in one call; the k = 0
+        self.bg = Background(ss, params)
+        lay = self.bg.layout
+        zero = lay.kmag == 0.0
+        safe = np.where(zero, 1.0, lay.kmag)
+        # khat without and with only its Nyquist entries (see RealLayout)
+        self._khat = lay.ik.imag / safe
+        self._khat_nyquist = lay.k_nyquist / safe
+        # dt and dt/2 propagators over the half grid in one call; the k = 0
         # mode is the identity (heat factor 1), so the velocity mean passes
         # through _apply_linear unchanged
-        t = np.array([dt, 0.5 * dt]).reshape((2,) + (1,) * kmag.ndim)
+        t = np.array([dt, 0.5 * dt]).reshape((2,) + (1,) * safe.ndim)
         E, heat = mode_exponential(ModeSymbol.from_params(params, safe), t)
         E[:, zero] = np.eye(2)
         heat[:, zero] = 1.0
         self._prop_full = E[0], heat[0]
         self._prop_half = E[1], heat[1]
 
-    def _apply_linear(self, rho_spec, u_spec, prop):
+    def _apply_linear(self, rho_hat, u_hat, prop):
         E, heat = prop
-        rho_new, u_new = hodge_evolve(E, heat, self._khat, rho_spec, u_spec)
+        rho_new, u_new = hodge_evolve(E, heat, self._khat, rho_hat, u_hat)
+        # a Nyquist mode keeps the even part of the projection khat khat^T
+        kn = self._khat_nyquist
+        u_new += (E[..., 1, 1] - heat) * _dot(kn, u_hat) * kn
         rho_new[(0,) * self.grid.dim] = 0.0      # density zero mode pinned
         return rho_new, u_new
 
-    def _specs(self, state):
-        return state.rho.spectrum().copy(), state.u.spectrum().copy()
+    def _state(self, rho_hat, u_hat, t):
+        grid = self.grid
+        return PerturbationState(
+            rho=Field(grid, irfftn(grid, rho_hat), _coeffs=rho_hat),
+            u=Field(grid, irfftn(grid, u_hat), _coeffs=u_hat), t=t)
+
+    def linear_step(self, state: PerturbationState) -> PerturbationState:
+        """The exact linear flow over dt, without the nonlinear terms."""
+        return self._state(*self._apply_linear(*state.coefficients(),
+                                               self._prop_full),
+                           state.t + self.dt)
 
     def step(self, state: PerturbationState) -> PerturbationState:
-        grid = self.grid
         dt = self.dt
-        rho0, u0 = self._specs(state)
-
-        n1, n2 = nonlinear_terms(state, self.ss, self.params)
-        n1s, n2s = n1.spectrum(), n2.spectrum()
+        rho0, u0 = state.coefficients()
+        n1, n2 = nonlinear_terms(state.rho.values, state.u.values,
+                                 rho0, u0, self.bg)
 
         # half step: U* = E(dt/2) (U + dt/2 N(U))
-        rho_h, u_h = self._apply_linear(rho0 + 0.5 * dt * n1s,
-                                        u0 + 0.5 * dt * n2s, self._prop_half)
-        rho_h[(0,) * grid.dim] = 0.0
-        mid = PerturbationState(rho=inverse_transform(grid, rho_h),
-                                u=inverse_transform(grid, u_h),
-                                t=state.t + 0.5 * dt)
-        m1, m2 = nonlinear_terms(mid, self.ss, self.params)
-        m1h, m2h = self._apply_linear(m1.spectrum(), m2.spectrum(),
-                                      self._prop_half)
+        mid = self._state(*self._apply_linear(rho0 + 0.5 * dt * n1,
+                                              u0 + 0.5 * dt * n2,
+                                              self._prop_half),
+                          state.t + 0.5 * dt)
+        m1, m2 = nonlinear_terms(mid.rho.values, mid.u.values,
+                                 *mid.coefficients(), self.bg)
+        m1h, m2h = self._apply_linear(m1, m2, self._prop_half)
 
         rho_f, u_f = self._apply_linear(rho0, u0, self._prop_full)
-        rho_f = rho_f + dt * m1h
-        u_f = u_f + dt * m2h
-        rho_f[(0,) * grid.dim] = 0.0
+        rho_f += dt * m1h
+        u_f += dt * m2h
+        rho_f[(0,) * self.grid.dim] = 0.0
 
-        new = PerturbationState(rho=inverse_transform(grid, rho_f),
-                                u=inverse_transform(grid, u_f),
-                                t=state.t + dt)
+        new = self._state(rho_f, u_f, state.t + dt)
         if not (np.all(np.isfinite(new.rho.values))
                 and np.all(np.isfinite(new.u.values))):
             raise EvolutionError(f"non-finite field at t={new.t:.6g}", new)
@@ -309,7 +365,10 @@ class DiagnosticsConfig:
     k: int = 4
     p: float = 1.0
     r: float = 1.2
-    ells: tuple = (0.5, 1.5)
+
+    def __post_init__(self):
+        if self.k < 2 or self.k != int(self.k):
+            raise ValueError("diagnostics need an integer Sobolev index k >= 2")
 
     @property
     def zeta(self):
@@ -324,19 +383,12 @@ class EnergyReport:
     grad_phi_l2: float
     dissipation: float              # int_0^t (||rho||_Hk^2 + ||grad u||_Hk^2)
     energy_lhs: float               # ||(rho,u)||_Hk^2 + ||grad Phi||_L2^2 + dissipation
-    e_surrogate: dict               # ell -> ||nabla^ell (rho, u, grad Phi)||_{H^{k-ell}}^2
     script_l: float
     script_m: float
     script_h: float
     script_j: float
     script_n: float                 # running sup (case 6/5 <= r < 3/2)
     script_k: float                 # running sup (case 1 < r < 6/5)
-
-
-def _frac_hk_sq(f: Field, ell: float, k: int) -> float:
-    """||nabla^ell f||_{H^{k-ell}}^2 via multiplier norms at integer offsets."""
-    top = int(np.floor(k - ell))
-    return sum(grad_norm(f, ell + j) ** 2 for j in range(top + 1))
 
 
 def _instant_diagnostics(state: PerturbationState, cfg: DiagnosticsConfig):
@@ -354,15 +406,11 @@ def _instant_diagnostics(state: PerturbationState, cfg: DiagnosticsConfig):
     }
     d["script_l"] = (grad_norm(rho, 0.5) + grad_norm(u, 1.5)
                      + d["rho_linf"] + d["u_linf"])
-    d["script_m"] = np.sqrt(_frac_hk_sq(rho, 0.5, k)) \
-        + np.sqrt(_frac_hk_sq(u, 1.5, k))
+    # ||nabla^ell f||_{H^{k - ell}} sums the orders ell, ell + 1, ..., <= k
+    d["script_m"] = (sobolev_norm(rho, k - 1, base_order=0.5)
+                     + sobolev_norm(u, k - 2, base_order=1.5))
     d["script_h"] = d["rho_l2"] + grad_norm(u, 1.0) + d["rho_linf"] + d["u_linf"]
-    d["script_j"] = sobolev_norm(rho, k) + np.sqrt(_frac_hk_sq(u, 1.0, k))
-    d["e_surrogate"] = {
-        ell: (_frac_hk_sq(rho, ell, k) + _frac_hk_sq(u, ell, k)
-              + _frac_hk_sq(grad_phi, ell, k))
-        for ell in cfg.ells
-    }
+    d["script_j"] = d["hk_rho"] + sobolev_norm(u, k - 1, base_order=1.0)
     return d
 
 
@@ -421,7 +469,6 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
         reports.append(EnergyReport(
             t=state.t, hk_rho=d["hk_rho"], hk_u=d["hk_u"],
             grad_phi_l2=d["grad_phi_l2"], dissipation=diss, energy_lhs=lhs,
-            e_surrogate=d["e_surrogate"],
             script_l=d["script_l"], script_m=d["script_m"],
             script_h=d["script_h"], script_j=d["script_j"],
             script_n=sup_n, script_k=sup_k))
@@ -430,7 +477,7 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
 
     def diss_integrand(state):
         return (sobolev_norm(state.rho, cfg.k) ** 2
-                + _frac_hk_sq(state.u, 1.0, cfg.k + 1))
+                + sobolev_norm(state.u, cfg.k, base_order=1.0) ** 2)
 
     state = initial
     prev_diss_integrand = diss_integrand(state)

@@ -7,14 +7,15 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .arrayio import write_field
 from .config import ExperimentConfig
-from .evolution import DiagnosticsConfig, evolve, initial_data_size
+from .evolution import (DiagnosticsConfig, EnergyReport, evolve,
+                        initial_data_size)
 from .semigroup import LinearDecayQuery, decay_curve, fit_exponent
 from .steady import solve_steady, verify_steady
 
@@ -24,6 +25,7 @@ __all__ = [
     "DecayReport",
     "render_float",
     "write_csv",
+    "write_energy_csv",
     "run_pipeline",
     "run_decay_query",
 ]
@@ -128,6 +130,13 @@ def write_csv(path, header, rows):
                 for cell in row) + "\n")
 
 
+def write_energy_csv(path, reports):
+    """One row per `EnergyReport`, its fields as the columns."""
+    header = [f.name for f in fields(EnergyReport)]
+    write_csv(path, header,
+              [[getattr(rep, name) for name in header] for rep in reports])
+
+
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -227,11 +236,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 initial, ss, params, t_end, dt=dt,
                 report_every=config.get("evolve", "report_every", int, 10),
                 diagnostics=diag)
-            header = ["t", "hk_rho", "hk_u", "grad_phi_l2", "dissipation",
-                      "energy_lhs", "script_l", "script_m", "script_h",
-                      "script_j", "script_n", "script_k"]
-            rows = [[getattr(rep, name) for name in header] for rep in reports]
-            write_csv(outdir / "energy.csv", header, rows)
+            write_energy_csv(outdir / "energy.csv", reports)
             produced.append("energy.csv")
             final = reports[-1]
             summary["stages"]["evolve"] = {

@@ -289,13 +289,6 @@ class LinearDecayQuery:
         if self.parts not in ("both", "compressible", "incompressible"):
             raise ValueError("parts must be both/compressible/incompressible")
 
-    def target_exponent(self) -> float:
-        """Closed-formula decay exponent of the linear semigroup."""
-        base = -1.5 * (1.0 / self.p - 1.0 / self.q) - 0.5 * self.ell
-        if self.component == "density":
-            base -= 0.5
-        return base
-
 
 def _radial_panels(xi_min=1e-6, xi_split=1.0, xi_max=8.0, n_low=24, n_high=8):
     edges = list(np.geomspace(xi_min, xi_split, n_low + 1))

@@ -4,6 +4,13 @@ All fields live on the uniform torus [0, L)^dim.  Spectra are stored as the
 Fourier-series coefficients c_k with f(x) = sum_k c_k exp(i k.x), i.e. the
 raw FFT divided by the number of grid points, so that the L^2 Parseval
 identity reads ||f||^2 = L^dim * sum |c_k|^2.
+
+Two layouts are used, and this module is the only one that knows them:
+`transform`/`inverse_transform` keep the full complex grid (n, ..., n) of
+`Field.spectrum()` and the multipliers; `rfftn`/`irfftn` keep the real-FFT
+half grid (n, ..., n, n/2 + 1) of `Field.coefficients()`, which the norms
+and the time integrator work in, with the symbols of `real_layout`.  Every
+transform goes through `scipy.fft`.
 """
 
 from __future__ import annotations
@@ -13,15 +20,18 @@ from functools import lru_cache
 from math import isclose
 
 import numpy as np
+import scipy.fft
 
 __all__ = [
     "Grid",
     "Field",
-    "MultiplierNorm",
     "MeanZeroError",
+    "RealLayout",
     "transform",
     "inverse_transform",
-    "apply_multiplier",
+    "rfftn",
+    "irfftn",
+    "real_layout",
     "frac_derivative",
     "gradient",
     "divergence",
@@ -31,7 +41,6 @@ __all__ = [
     "lp_norm",
     "grad_norm",
     "sobolev_norm",
-    "norm",
     "gn_interpolation_check",
     "dealias",
     "dealias_product",
@@ -98,7 +107,7 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def _modes(dim, n):
-    m = np.fft.fftfreq(n, d=1.0 / n)
+    m = scipy.fft.fftfreq(n, d=1.0 / n)
     return np.stack(np.meshgrid(*([m] * dim), indexing="ij"))
 
 
@@ -113,15 +122,37 @@ def _kmag(dim, n, length):
     return np.sqrt(np.sum(k * k, axis=0))
 
 
+@dataclass(frozen=True)
+class RealLayout:
+    """Symbols on the real-FFT half grid of `rfftn`.
+
+    The last axis holds modes 0..n/2; its entry n/2 and every entry with
+    |m_a| = n/2 on another axis is a Nyquist mode, whose partner -m is the
+    mode itself.  The complex path drops the odd part of a symbol there
+    when it keeps the real part of `ifftn`, so ``ik`` holds i k with those
+    entries zeroed, and ``k_nyquist`` the components it dropped: an even
+    product k_a k_b survives as k0_a k0_b + kN_a kN_b, with k0 = ik / i.
+    """
+
+    ik: np.ndarray            # (dim, n, ..., n/2 + 1); zero at Nyquist entries
+    k_nyquist: np.ndarray     # k - ik / i, nonzero only at Nyquist entries
+    kmag: np.ndarray          # |k|
+    mask: np.ndarray          # 2/3 rule: |m_a| <= n/3 on every axis
+
+
 @lru_cache(maxsize=32)
-def _dealias_mask(dim, n):
-    # 2/3 rule: keep |m| <= n/3 on every axis.
-    m = np.abs(np.fft.fftfreq(n, d=1.0 / n))
-    keep1 = m <= n / 3.0
-    mask = keep1
-    for _ in range(dim - 1):
-        mask = np.multiply.outer(mask, keep1)
-    return mask
+def real_layout(grid: Grid) -> RealLayout:
+    """The half-grid symbols of ``grid`` (see `RealLayout`), cached."""
+    n = grid.n
+    m = _modes(grid.dim, n)[..., : n // 2 + 1]
+    k = (2.0 * np.pi / grid.length) * m
+    k_nyq = np.where(np.abs(m) == n // 2, k, 0.0)
+    lay = RealLayout(ik=1j * (k - k_nyq), k_nyquist=k_nyq,
+                     kmag=np.sqrt(np.sum(k * k, axis=0)),
+                     mask=np.all(np.abs(m) <= n / 3.0, axis=0))
+    for a in vars(lay).values():
+        a.flags.writeable = False       # shared by every caller
+    return lay
 
 
 @dataclass
@@ -129,12 +160,14 @@ class Field:
     """Real scalar or vector samples on a grid.
 
     Vector fields carry the component axis first: values.shape is either
-    grid.shape or (ncomp,) + grid.shape.  The spectrum is cached lazily.
+    grid.shape or (ncomp,) + grid.shape.  The spectrum and the real-layout
+    coefficients are cached lazily.
     """
 
     grid: Grid
     values: np.ndarray
     _spectrum: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
+    _coeffs: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -160,6 +193,14 @@ class Field:
         if self._spectrum is None:
             self._spectrum = transform(self)
         return self._spectrum
+
+    def coefficients(self):
+        """Real-layout (`rfftn`) coefficients."""
+        if self._coeffs is None:
+            if not np.all(np.isfinite(self.values)):
+                raise ValueError("non-finite values in field")
+            self._coeffs = rfftn(self.grid, self.values)
+        return self._coeffs
 
     def mean(self):
         if self.is_vector:
@@ -190,45 +231,35 @@ def _values_of(other):
     return other.values if isinstance(other, Field) else other
 
 
+def _axes(grid):
+    return tuple(range(-grid.dim, 0))
+
+
 def transform(f: Field) -> np.ndarray:
     """Discrete Fourier coefficients of a field (normalized by 1/n^dim)."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("non-finite values in field")
-    axes = tuple(range(-f.grid.dim, 0))
-    return np.fft.fftn(f.values, axes=axes) / f.grid.npoints
+    return scipy.fft.fftn(f.values, axes=_axes(f.grid), norm="forward")
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> Field:
     """Physical field from Fourier coefficients (imaginary residue dropped)."""
-    axes = tuple(range(-grid.dim, 0))
-    vals = np.fft.ifftn(coeffs * grid.npoints, axes=axes)
+    vals = scipy.fft.ifftn(coeffs, axes=_axes(grid), norm="forward")
     return Field(grid, np.ascontiguousarray(vals.real))
 
 
-def _zero_mode_index(grid, ncomp):
-    idx = (0,) * grid.dim
-    return (slice(None),) + idx if ncomp > 1 else idx
+def rfftn(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Real-layout coefficients of real samples, normalized like `transform`;
+    leading axes (vector components, stacked fields) are transformed
+    independently."""
+    return scipy.fft.rfftn(values, s=grid.shape, axes=_axes(grid),
+                           norm="forward")
 
 
-def apply_multiplier(f: Field, symbol, name: str = "multiplier") -> Field:
-    """Apply a scalar Fourier multiplier symbol(kvec) componentwise.
-
-    symbol takes the (dim, n, ..., n) wavevector array and returns a scalar
-    multiplier array.  A symbol that is singular at k = 0 is only admissible
-    on mean-zero fields; the zero mode of the output is then set to zero.
-    """
-    k = f.grid.wavevectors()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.asarray(symbol(k))
-    spec = f.spectrum()
-    bad = ~np.isfinite(sym)
-    if bad.any():
-        if not np.array_equal(np.argwhere(bad), np.zeros((1, f.grid.dim), dtype=int)):
-            raise ValueError(f"{name} symbol non-finite away from k=0")
-        _require_mean_zero(f, name)
-        sym = sym.copy()
-        sym[(0,) * f.grid.dim] = 0.0
-    return inverse_transform(f.grid, spec * sym)
+def irfftn(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Real samples from real-layout coefficients (inverse of `rfftn`)."""
+    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
+                            norm="forward")
 
 
 def _require_mean_zero(f, what):
@@ -318,59 +349,50 @@ def lp_norm(f: Field, p: float) -> float:
     return float((np.sum(mag ** p) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def _mode_sum_sq(f: Field, ell: float) -> float:
-    kmag = f.grid.wavenumber_magnitude()
-    spec = f.spectrum()
-    power = np.sum(np.abs(spec) ** 2, axis=0) if f.is_vector else np.abs(spec) ** 2
-    if ell < 0:
-        _require_mean_zero(f, f"norm of order {ell}")
-    if ell == 0:
-        w = np.ones_like(kmag)
-    else:
+@lru_cache(maxsize=32)
+def _sobolev_weight(grid, k, base):
+    """sum_{j<=k} |k|^{2 (base + j)} on the real layout, times 2 where the
+    half grid omits the partner -m of a mode; the zero mode counts only in
+    a term of order 0.  Flat, each entry twice: it weighs the interleaved
+    real and imaginary parts of the coefficients."""
+    kmag = real_layout(grid).kmag
+    w = np.zeros_like(kmag)
+    for j in range(k + 1):
+        ell = base + j
+        if ell == 0:
+            w += 1.0
+            continue
         with np.errstate(divide="ignore"):
-            w = kmag ** (2.0 * ell)
-        w = w.copy()
-        w[(0,) * f.grid.dim] = 0.0
-    return float(f.grid.length ** f.grid.dim * np.sum(w * power))
+            term = kmag ** (2.0 * ell)
+        term[(0,) * grid.dim] = 0.0
+        w += term
+    w[..., 1:grid.n // 2] *= 2.0
+    w = np.repeat(w.ravel(), 2)
+    w.flags.writeable = False
+    return w
+
+
+def _mode_sum_sq(f: Field, k: int, base: float) -> float:
+    """L^dim sum_m w(m) |c_m|^2 with the weight of `_sobolev_weight`."""
+    if base < 0:
+        _require_mean_zero(f, f"norm of order {base}")
+    g = f.grid
+    v = np.ascontiguousarray(f.coefficients()).view(np.float64)
+    v = v.reshape(f.ncomp, -1)
+    w = _sobolev_weight(g, int(k), float(base))
+    return float(g.length ** g.dim * np.sum(np.dot(v * v, w)))
 
 
 def grad_norm(f: Field, ell: float) -> float:
     """||nabla^ell f||_{L^2} in multiplier form (ell real, possibly negative)."""
-    return float(np.sqrt(_mode_sum_sq(f, ell)))
+    return float(np.sqrt(_mode_sum_sq(f, 0, ell)))
 
 
 def sobolev_norm(f: Field, k: int, base_order: float = 0.0) -> float:
     """||nabla^base_order f||_{H^k} = (sum_{j<=k} ||nabla^{base_order+j} f||^2)^{1/2}."""
     if k < 0 or k != int(k):
         raise ValueError("sobolev index must be a nonnegative integer")
-    total = sum(_mode_sum_sq(f, base_order + j) for j in range(int(k) + 1))
-    return float(np.sqrt(total))
-
-
-@dataclass(frozen=True)
-class MultiplierNorm:
-    """Norm specification: derivative order, Sobolev index, Lebesgue exponent."""
-
-    order: float = 0.0
-    sobolev_index: int = 0
-    lebesgue_p: float = 2.0
-
-    def __post_init__(self):
-        if self.sobolev_index < 0:
-            raise ValueError("sobolev_index must be nonnegative")
-        if self.lebesgue_p < 1:
-            raise ValueError("lebesgue_p must be in [1, inf]")
-
-
-def norm(f: Field, spec: MultiplierNorm) -> float:
-    """Evaluate the norm described by ``spec`` on a field."""
-    if spec.lebesgue_p == 2:
-        if spec.sobolev_index == 0:
-            return grad_norm(f, spec.order)
-        return sobolev_norm(f, spec.sobolev_index, base_order=spec.order)
-    if spec.order != 0 or spec.sobolev_index != 0:
-        raise ValueError("L^p quadrature norms support order 0 only")
-    return lp_norm(f, spec.lebesgue_p)
+    return float(np.sqrt(_mode_sum_sq(f, k, base_order)))
 
 
 def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,
@@ -402,8 +424,8 @@ def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,
 
 def dealias(f: Field) -> Field:
     """Truncate a field to the 2/3-rule ball."""
-    mask = _dealias_mask(f.grid.dim, f.grid.n)
-    return inverse_transform(f.grid, f.spectrum() * mask)
+    grid = f.grid
+    return Field(grid, irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask))
 
 
 def dealias_product(a: Field, b: Field) -> Field:

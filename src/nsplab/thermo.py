@@ -18,7 +18,6 @@ __all__ = [
     "FluidParams",
     "enthalpy",
     "enthalpy_prime",
-    "enthalpy_second",
     "remainder",
 ]
 
@@ -126,11 +125,6 @@ class FluidParams:
     def h_prime_bar(self):
         return float(self.law.h_prime(self.rho_bar))
 
-    def check_pressure_monotone(self, lo, hi, samples=256):
-        z = np.linspace(lo, hi, samples)
-        if np.any(self.law.dp(z) <= 0):
-            raise ValueError(f"p'(rho) not positive on [{lo}, {hi}]")
-
 
 def _check_positive(z, what="density"):
     z = np.asarray(z, dtype=float)
@@ -150,11 +144,6 @@ def enthalpy_prime(law: PressureLaw, z):
     return law.h_prime(z)
 
 
-def enthalpy_second(law: PressureLaw, z):
-    z = _check_positive(z)
-    return law.h_second(z)
-
-
 _GL_NODES, _GL_WEIGHTS = leggauss(16)
 
 
@@ -169,23 +158,49 @@ def _remainder_quadrature(law, rho_s, total):
     return half * acc
 
 
+# |x| below which the binomial series is summed; its terms past x^16
+# fall under 2^-53 of the x^2 term there.
+_SERIES_X = 0.05
+_SERIES_TERMS = 15
+
+
 def _remainder_gamma(gamma, rho_s, total):
-    """Closed form of the remainder integral for gamma-law gases."""
+    """Closed form of the remainder integral for gamma-law gases:
+
+        R = gamma rho_s^p g(x),  g(x) = ((1 + x)^p - 1 - p x) / p,
+
+    with p = gamma - 1 and x = total / rho_s - 1 (g = log1p(x) - x at
+    p = 0).  g is O(x^2) while its terms are O(x), so for |x| < _SERIES_X
+    it is summed as the binomial series sum_{j>=2} c_j x^j,
+    c_2 = (p - 1) / 2, c_{j+1} = c_j (p - j) / (j + 1).  Beyond, the
+    numerator is expm1(p L) - p x, L = log1p(x), or for p > 1/2, where that
+    cancels as p -> 1, (1 + x) expm1((p - 1) L) - (p - 1) x.
+    """
     g = gamma
-    c = g * (g - 2.0)
     if np.isclose(g, 2.0):
         return np.zeros_like(np.asarray(total, dtype=float))
-    if np.isclose(g, 1.0):
-        # h''(s) = -1/s^2
-        ratio = total / rho_s
-        return -(ratio - 1.0 - np.log(ratio))
-    if np.isclose(g, 3.0):
-        # h''(s) = 3
-        return 1.5 * (total - rho_s) ** 2
-    a, z = rho_s, total
-    term1 = z * (z ** (g - 2.0) - a ** (g - 2.0)) / (g - 2.0)
-    term2 = (z ** (g - 1.0) - a ** (g - 1.0)) / (g - 1.0)
-    return c * (term1 - term2)
+    p = 0.0 if np.isclose(g, 1.0) else g - 1.0
+    rho_s = np.asarray(rho_s, dtype=float)
+    x = np.asarray((total - rho_s) / rho_s, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < _SERIES_X
+    xs = x[small]
+    coeffs = [0.5 * (p - 1.0)]
+    for j in range(2, _SERIES_TERMS + 1):
+        coeffs.append(coeffs[-1] * (p - j) / (j + 1))
+    acc = np.full_like(xs, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * xs + c
+    out[small] = acc * xs * xs
+    xb = x[~small]
+    L = np.log1p(xb)
+    if p == 0.0:
+        out[~small] = L - xb
+    elif p > 0.5:
+        out[~small] = ((1.0 + xb) * np.expm1((p - 1.0) * L) - (p - 1.0) * xb) / p
+    else:
+        out[~small] = (np.expm1(p * L) - p * xb) / p
+    return g * rho_s ** p * out
 
 
 def remainder(law: PressureLaw, pert: Field, rho_s: Field) -> Field:

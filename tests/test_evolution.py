@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from nsplab.evolution import (DiagnosticsConfig, EvolutionError, Integrator,
-                              PerturbationState, default_dt, evolve,
-                              initial_data_size, nonlinear_terms,
-                              random_smooth_state, rhs_nonlinear,
-                              single_mode_state, zero_state)
-from nsplab.spectral import Field, Grid, dealias, laplacian, sobolev_norm
-from nsplab.steady import cosine_doping, flat_doping, solve_steady
+from nsplab.evolution import (Background, DiagnosticsConfig, EvolutionError,
+                              Integrator, PerturbationState, _viscous,
+                              default_dt, evolve, initial_data_size,
+                              nonlinear_terms, random_smooth_state,
+                              rhs_nonlinear, single_mode_state, zero_state)
+from nsplab.semigroup import ModeSymbol, hodge_evolve, mode_exponential
+from nsplab.spectral import (Field, Grid, dealias, divergence, gradient,
+                             inverse_transform, irfftn, laplacian,
+                             poisson_gradient, sobolev_norm)
+from nsplab.steady import (cosine_doping, flat_doping, gaussian_bump_doping,
+                           solve_steady)
 from nsplab.thermo import FluidParams, GammaLaw
 
 GRID = Grid(dim=2, n=16)
@@ -23,6 +27,18 @@ def flat_ss():
 def bumpy_ss():
     doping = cosine_doping(GRID, amplitude=0.05)
     return solve_steady(PARAMS, doping)
+
+
+def with_nyquist(state, amplitude):
+    """The state plus Nyquist content (cos(n x / 2) on the 2 pi box) on
+    both axes, which the 2/3 rule would remove but initial data may carry."""
+    x, y = state.grid.coords()
+    half = state.grid.n // 2
+    rho = state.rho.values + amplitude * np.cos(half * x) * np.cos(y)
+    u = state.u.values.copy()
+    u[0] += amplitude * np.cos(half * y) * np.cos(half * x)
+    u[1] += amplitude * np.cos(half * x) * np.sin(2.0 * y)
+    return PerturbationState(rho=Field(state.grid, rho), u=Field(state.grid, u))
 
 
 class TestStates:
@@ -71,14 +87,39 @@ class TestRightHandSide:
         np.testing.assert_allclose(du_v.values, du_c.values,
                                    atol=1e-12 * scale)
 
+    def test_nonlinear_terms_match_variable_form(self):
+        # N = (variable-coefficient right-hand side) - (linear part), with
+        # R and the pressure jump nonzero (gamma 1.4, non-flat doping) and
+        # Nyquist content in the data.  The variable form dealiases its
+        # linear terms too, so the difference is compared inside the 2/3 ball
+        doping = gaussian_bump_doping(GRID, amplitude=0.3)
+        params = FluidParams(law=GammaLaw(1.4), rho_bar=doping.b_bar)
+        ss = solve_steady(params, doping)
+        s = with_nyquist(random_smooth_state(GRID, seed=12, amplitude=2e-2),
+                         1e-3)
+        dr_v, du_v = rhs_nonlinear(s, ss, params, form="variable")
+        lin_rho = -params.rho_bar * divergence(s.u).values
+        lin_u = (-params.h_prime_bar * gradient(s.rho).values
+                 + _viscous(params, s.u).values / params.rho_bar
+                 + poisson_gradient(s.rho).values)
+        n1, n2 = nonlinear_terms(s.rho.values, s.u.values, *s.coefficients(),
+                                 Background(ss, params))
+        for got, diff in ((irfftn(GRID, n1), dr_v.values - lin_rho),
+                          (irfftn(GRID, n2), du_v.values - lin_u)):
+            want = dealias(Field(GRID, diff)).values
+            scale = np.max(np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+
     def test_nonlinear_terms_quadratic_smallness(self, flat_ss):
         # around a constant state the nonlinearity is quadratic in the data
-        n_big = nonlinear_terms(random_smooth_state(GRID, seed=2, amplitude=1e-3),
-                                flat_ss, PARAMS)
-        n_small = nonlinear_terms(random_smooth_state(GRID, seed=2, amplitude=5e-4),
-                                  flat_ss, PARAMS)
-        ratio = (np.max(np.abs(n_big[1].values))
-                 / np.max(np.abs(n_small[1].values)))
+        bg = Background(flat_ss, PARAMS)
+
+        def n2(amplitude):
+            s = random_smooth_state(GRID, seed=2, amplitude=amplitude)
+            return nonlinear_terms(s.rho.values, s.u.values,
+                                   *s.coefficients(), bg)[1]
+
+        ratio = np.max(np.abs(n2(1e-3))) / np.max(np.abs(n2(5e-4)))
         assert ratio == pytest.approx(4.0, rel=0.01)
 
     def test_rejects_unknown_form(self, flat_ss):
@@ -128,6 +169,54 @@ class TestIntegrator:
         e1 = np.max(np.abs(sols[0].rho.values - sols[1].rho.values))
         e2 = np.max(np.abs(sols[1].rho.values - sols[2].rho.values))
         assert np.log2(e1 / e2) == pytest.approx(2.0, abs=0.4)
+
+    def test_linear_step_matches_full_layout(self, bumpy_ss):
+        # the half-grid propagator reproduces the full complex grid's, whose
+        # real part drops the odd part of khat at Nyquist modes
+        s = with_nyquist(random_smooth_state(GRID, seed=3, amplitude=1e-3),
+                         1e-3)
+        dt = 0.3
+        got = Integrator(bumpy_ss, PARAMS, dt).linear_step(s)
+        kmag = GRID.wavenumber_magnitude()
+        zero = kmag == 0.0
+        safe = np.where(zero, 1.0, kmag)
+        E, heat = mode_exponential(ModeSymbol.from_params(PARAMS, safe), dt)
+        E[zero] = np.eye(2)
+        heat[zero] = 1.0
+        rho, u = hodge_evolve(E, heat, GRID.wavevectors() / safe,
+                              s.rho.spectrum(), s.u.spectrum())
+        rho[0, 0] = 0.0
+        for field, spec in ((got.rho, rho), (got.u, u)):
+            want = inverse_transform(GRID, spec).values
+            np.testing.assert_allclose(field.values, want, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(want)))
+        assert got.t == dt
+
+    def test_step_fft_budget(self, monkeypatch):
+        # a 16^3 step: at most 20 scipy.fft calls, none from numpy.fft, and
+        # no forward transform of a state the stepper produced itself
+        import numpy.fft
+        import scipy.fft
+        grid = Grid(dim=3, n=16)
+        ss = solve_steady(PARAMS, cosine_doping(grid, amplitude=0.05))
+        stepper = Integrator(ss, PARAMS, 0.05)
+        s = random_smooth_state(grid, seed=1, amplitude=1e-2)
+        calls = {}
+        for mod in (numpy.fft, scipy.fft):
+            for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn",
+                         "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+                def counted(*args, _fn=getattr(mod, name), _key=mod.__name__,
+                            **kwargs):
+                    calls[_key] = calls.get(_key, 0) + 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
+        s = stepper.step(s)
+        first = dict(calls)
+        calls.clear()
+        stepper.step(s)
+        assert "numpy.fft" not in first and "numpy.fft" not in calls
+        assert first["scipy.fft"] <= 20
+        assert calls["scipy.fft"] < first["scipy.fft"]
 
     def test_rejects_bad_dt(self, flat_ss):
         with pytest.raises(ValueError):
@@ -183,6 +272,10 @@ class TestEvolveDriver:
     def test_initial_data_size_positive(self):
         s = random_smooth_state(GRID, seed=8, amplitude=1e-2)
         assert initial_data_size(s, DiagnosticsConfig()) > 0
+
+    def test_diagnostics_need_k_at_least_two(self):
+        with pytest.raises(ValueError, match="k >= 2"):
+            DiagnosticsConfig(k=1)
 
     def test_diagnostics_zeta(self):
         assert DiagnosticsConfig(p=1.0, r=1.2).zeta == pytest.approx(0.5)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsplab.spectral import (Field, Grid, MeanZeroError, MultiplierNorm,
-                             dealias, dealias_product, divergence,
-                             frac_derivative, gn_interpolation_check,
-                             grad_norm, gradient, inverse_laplacian,
-                             laplacian, lp_norm, norm, poisson_gradient,
-                             sobolev_norm)
+from nsplab.spectral import (Field, Grid, MeanZeroError, dealias,
+                             dealias_product, divergence, frac_derivative,
+                             gn_interpolation_check, grad_norm, gradient,
+                             inverse_laplacian, inverse_transform, irfftn,
+                             laplacian, lp_norm, poisson_gradient,
+                             real_layout, sobolev_norm)
 
 
 def random_field(grid, seed, mean_zero=True):
@@ -118,6 +118,33 @@ class TestDerivatives:
         np.testing.assert_allclose(g.values, f.values, atol=1e-12)
 
 
+class TestRealLayout:
+    # white noise fills every mode, the Nyquist ones included
+    @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
+    def test_gradient_matches_complex(self, grid):
+        f = random_field(grid, 21)
+        got = irfftn(grid, real_layout(grid).ik * f.coefficients())
+        want = gradient(f).values
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("grid", [GRID2, GRID3])
+    def test_grad_div_matches_complex(self, grid):
+        # the even product k_a k_b keeps its Nyquist entries
+        v = Field(grid, np.stack([random_field(grid, 30 + a).values
+                                  for a in range(grid.dim)]))
+        lay = real_layout(grid)
+        c = v.coefficients()
+        got = irfftn(grid, lay.ik * sum(lay.ik[a] * c[a] for a in range(grid.dim))
+                     - lay.k_nyquist * sum(lay.k_nyquist[a] * c[a]
+                                           for a in range(grid.dim)))
+        k = grid.wavevectors()
+        div = sum(1j * k[a] * v.spectrum()[a] for a in range(grid.dim))
+        want = inverse_transform(grid, 1j * k * div).values
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
 class TestNorms:
     def test_lp_norm_constant(self):
         g = Grid(dim=2, n=16, length=2.0)
@@ -132,17 +159,20 @@ class TestNorms:
 
     def test_sobolev_norm_decomposition(self):
         f = random_field(GRID2, 8)
-        expect = np.sqrt(sum(grad_norm(f, j) ** 2 for j in range(3)))
-        assert sobolev_norm(f, 2) == pytest.approx(expect, rel=1e-12)
+        for base in (0.0, 0.5, -1.0):
+            expect = np.sqrt(sum(grad_norm(f, base + j) ** 2 for j in range(3)))
+            assert sobolev_norm(f, 2, base_order=base) == pytest.approx(
+                expect, rel=1e-12)
 
-    def test_norm_dispatch(self):
-        f = random_field(GRID2, 9)
-        assert norm(f, MultiplierNorm(order=0.5)) == pytest.approx(
-            grad_norm(f, 0.5))
-        assert norm(f, MultiplierNorm(sobolev_index=2)) == pytest.approx(
-            sobolev_norm(f, 2))
-        assert norm(f, MultiplierNorm(lebesgue_p=4.0)) == pytest.approx(
-            lp_norm(f, 4.0))
+    def test_norms_match_full_spectrum(self):
+        # the real-layout power sum counts each omitted partner -m once more
+        f = random_field(GRID3, 23)
+        k = GRID3.wavenumber_magnitude()
+        power = np.abs(f.spectrum()) ** 2
+        for ell in (0.0, 1.0, 2.5):
+            w = k ** (2.0 * ell)
+            full = np.sqrt(GRID3.length ** 3 * np.sum(w * power))
+            assert grad_norm(f, ell) == pytest.approx(full, rel=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))

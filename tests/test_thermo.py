@@ -110,6 +110,24 @@ class TestRemainder:
         r2 = remainder(law, const_field(x), base).values[0, 0]
         assert r1 == pytest.approx(scale ** 2 * r2, rel=1e-3)
 
+    @pytest.mark.parametrize("gamma", [1.001, 1.2, 1.4, 5.0 / 3.0, 1.999, 2.5])
+    def test_matches_high_precision(self, gamma):
+        # R is O(x^2) while h(a + x) - h(a) is O(x): the closed form must not
+        # lose the difference to cancellation for small |x| = |pert| / rho_s
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        a = 1.03
+        line = Grid(dim=1, n=128)
+        mag = np.geomspace(1e-10, 0.5, 64)
+        pert = Field(line, a * np.concatenate([mag, -mag]))
+        got = remainder(GammaLaw(gamma), pert, Field(line, np.full(128, a)))
+        g, am = mpmath.mpf(gamma), mpmath.mpf(a)
+        for z, r in zip(pert.values + a, got.values):
+            z = mpmath.mpf(z)
+            ref = (g / (g - 1) * (z ** (g - 1) - am ** (g - 1))
+                   - g * am ** (g - 2) * (z - am))
+            assert abs(r - ref) <= 1e-13 * abs(ref)
+
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ValueError, match="total density"):
             remainder(GammaLaw(1.4), const_field(-2.0), const_field(1.0))
