@@ -128,8 +128,8 @@ def gates_steady() -> list:
         f"W^(2,r)/L^r ratio spread {100 * spread:.1f}% across amplitudes "
         "(tol 20%)"))
     elapsed = time.perf_counter() - t0
-    out.append(_gate("steady runtime", elapsed < 120.0,
-                     f"{elapsed:.1f}s (budget 120s)"))
+    out.append(_gate("steady runtime", elapsed < 20.0,
+                     f"{elapsed:.1f}s (budget 20s)"))
     return out
 
 

@@ -190,7 +190,9 @@ def rhs_nonlinear(state: PerturbationState, ss: SteadyState,
     the full complex layout, independently of the integrator; it is the
     oracle for form="constant", which freezes the coefficients at rho_bar:
     the linear part matching the mode symbols plus `nonlinear_terms`.
-    Both use dealiased products and agree up to roundoff.
+    Both use dealiased products.  They agree up to roundoff inside the 2/3
+    ball only: form="variable" also dealiases its linear terms, which
+    form="constant" keeps whole.
     """
     if form not in ("variable", "constant"):
         raise ValueError("form must be 'variable' or 'constant'")

@@ -215,6 +215,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
             with open(outdir / "steady.json", "w", encoding="utf-8") as fh:
                 json.dump({"residual_l2": ss.residual_l2,
                            "iterations": ss.iterations,
+                           "residual_history": ss.residual_history,
                            "report": asdict(report)}, fh, indent=2)
                 fh.write("\n")
             produced.append("steady.json")

@@ -41,9 +41,9 @@ __all__ = [
     "lp_norm",
     "grad_norm",
     "sobolev_norm",
+    "coeff_norm",
     "gn_interpolation_check",
     "dealias",
-    "dealias_product",
 ]
 
 
@@ -372,27 +372,31 @@ def _sobolev_weight(grid, k, base):
     return w
 
 
-def _mode_sum_sq(f: Field, k: int, base: float) -> float:
-    """L^dim sum_m w(m) |c_m|^2 with the weight of `_sobolev_weight`."""
-    if base < 0:
-        _require_mean_zero(f, f"norm of order {base}")
-    g = f.grid
-    v = np.ascontiguousarray(f.coefficients()).view(np.float64)
-    v = v.reshape(f.ncomp, -1)
-    w = _sobolev_weight(g, int(k), float(base))
-    return float(g.length ** g.dim * np.sum(np.dot(v * v, w)))
+def coeff_norm(grid: Grid, coeffs: np.ndarray, k: int = 0,
+               base_order: float = 0.0) -> float:
+    """`sobolev_norm` read from real-layout coefficients (leading axes are
+    components) with no transform; for base_order < 0 the zero mode is
+    left out."""
+    v = np.ascontiguousarray(coeffs).view(np.float64)
+    w = _sobolev_weight(grid, int(k), float(base_order))
+    return float(np.sqrt(grid.length ** grid.dim
+                         * np.sum(np.dot(v.reshape(-1, w.size) ** 2, w))))
 
 
 def grad_norm(f: Field, ell: float) -> float:
     """||nabla^ell f||_{L^2} in multiplier form (ell real, possibly negative)."""
-    return float(np.sqrt(_mode_sum_sq(f, 0, ell)))
+    if ell < 0:
+        _require_mean_zero(f, f"norm of order {ell}")
+    return coeff_norm(f.grid, f.coefficients(), 0, ell)
 
 
 def sobolev_norm(f: Field, k: int, base_order: float = 0.0) -> float:
     """||nabla^base_order f||_{H^k} = (sum_{j<=k} ||nabla^{base_order+j} f||^2)^{1/2}."""
     if k < 0 or k != int(k):
         raise ValueError("sobolev index must be a nonnegative integer")
-    return float(np.sqrt(_mode_sum_sq(f, k, base_order)))
+    if base_order < 0:
+        _require_mean_zero(f, f"norm of order {base_order}")
+    return coeff_norm(f.grid, f.coefficients(), k, base_order)
 
 
 def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,
@@ -426,8 +430,3 @@ def dealias(f: Field) -> Field:
     """Truncate a field to the 2/3-rule ball."""
     grid = f.grid
     return Field(grid, irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask))
-
-
-def dealias_product(a: Field, b: Field) -> Field:
-    """Pointwise product of scalar fields, truncated by the 2/3 rule."""
-    return dealias(Field(a.grid, a.values * b.values))

@@ -9,8 +9,9 @@ solved here by a damped Picard sweep on f = rho_s - rho_bar:
 
     (-h'(rho_bar) Lap + 1) f_new = div((h'(rho_s) - h'(rho_bar)) grad f) + (b - b_bar),
 
-each sweep being one Fourier-multiplier inversion.  The potential is
-recovered as phi_s = h(rho_s) - mean(h(rho_s)) (mean-zero gauge).
+each sweep being one Fourier-multiplier inversion on the real-layout
+coefficients of f (see `_Elliptic`).  The potential is recovered as
+phi_s = h(rho_s) - mean(h(rho_s)) (mean-zero gauge).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spectral import (Field, Grid, dealias, divergence, gradient,
-                       inverse_transform, lp_norm, sobolev_norm)
+from .spectral import (Field, Grid, coeff_norm, dealias, divergence, gradient,
+                       irfftn, lp_norm, real_layout, rfftn, sobolev_norm)
 from .thermo import FluidParams
 
 __all__ = [
@@ -123,29 +124,42 @@ class SteadyState:
     residual_history: list = dc_field(default_factory=list)
 
 
-def _elliptic_residual(params, rho_s, doping):
-    """L2 norm of div(h'(rho_s) grad rho_s) - (rho_s - b)."""
-    hp = Field(rho_s.grid, np.asarray(params.law.h_prime(rho_s.values)))
-    g = gradient(rho_s)
-    flux = Field(rho_s.grid, hp.values[None, :] * g.values)
-    lhs = divergence(dealias(flux))
-    res = lhs.values - (rho_s.values - doping.b.values)
-    return float(np.sqrt(np.sum(res ** 2) * rho_s.grid.cell_volume))
+class _Elliptic:
+    """The steady equation on the real-layout coefficients f_hat of f.
 
+    `flux_div` gives D = div dealias(h'(rho_s) grad f) as
+    mask (ik . rfftn(h'(rho_bar + f) irfftn(ik f_hat))); `defect` and
+    `target` turn it into the residual and the next Picard iterate, since
+    div dealias(h'(rho_bar) grad f) = -h'(rho_bar) mask |k|^2 f_hat exactly
+    (ik is zero at Nyquist entries, which lie outside the mask).
+    """
 
-def _picard_sweep(params, doping, f, hp_bar):
-    """One multiplier inversion of the constant-coefficient reformulation."""
-    grid = doping.grid
-    rho_s = Field(grid, params.rho_bar + f.values)
-    hp = np.asarray(params.law.h_prime(rho_s.values))
-    coeff = Field(grid, hp - hp_bar)
-    grad_f = gradient(f)
-    flux = dealias(Field(grid, coeff.values[None, :] * grad_f.values))
-    rhs = divergence(flux).values + (doping.b.values - doping.b_bar)
-    rhs_f = Field(grid, rhs)
-    k2 = grid.wavenumber_magnitude() ** 2
-    sym = 1.0 / (hp_bar * k2 + 1.0)
-    return inverse_transform(grid, rhs_f.spectrum() * sym)
+    def __init__(self, params, doping):
+        self.grid, self.params = doping.grid, params
+        self.lay = real_layout(self.grid)
+        hp_bar = float(params.law.h_prime(params.rho_bar))
+        k2 = self.lay.kmag ** 2
+        self.sym = 1.0 / (hp_bar * k2 + 1.0)
+        self.shift = hp_bar * self.lay.mask * k2
+        self.b_dev = rfftn(self.grid, doping.b.values - doping.b_bar)
+        self.mean_gap = doping.b_bar - params.rho_bar
+
+    def flux_div(self, f_hat, f_vals):
+        flux = irfftn(self.grid, self.lay.ik * f_hat)
+        flux *= self.params.law.h_prime(self.params.rho_bar + f_vals)
+        c = rfftn(self.grid, flux)
+        return self.lay.mask * np.sum(self.lay.ik * c, axis=0)
+
+    def defect(self, D, f_hat):
+        """Coefficients of D - (rho_s - b)."""
+        r = D - f_hat + self.b_dev
+        r[(0,) * self.grid.dim] += self.mean_gap
+        return r
+
+    def target(self, D, f_hat):
+        """sym (D + h'(rho_bar) mask |k|^2 f_hat + (b - b_bar)^), with sym the
+        symbol of (-h'(rho_bar) Lap + 1)^{-1}."""
+        return self.sym * (D + self.shift * f_hat + self.b_dev)
 
 
 def solve_steady(params: FluidParams, doping: DopingProfile,
@@ -153,7 +167,9 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
                  relaxation: float = 1.0, newton: bool = False,
                  initial_f: Field | None = None) -> SteadyState:
     """Damped Picard (optionally Newton-accelerated) solve of the steady
-    elliptic equation.  Convergence is measured by the H^2 norm of the
+    elliptic equation on the real-layout coefficients of f.  One operator
+    evaluation per sweep gives both the residual of the iterate and the
+    next Picard target.  Convergence is measured by the H^2 norm of the
     update; the returned residual is the L2 defect of the full equation."""
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -162,35 +178,42 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     if not np.isclose(rho_bar, doping.b_bar, rtol=1e-12, atol=1e-12):
         raise ValueError(
             f"reference density {rho_bar} must equal mean doping {doping.b_bar}")
-    hp_bar = float(params.law.h_prime(rho_bar))
+    op = _Elliptic(params, doping)
 
     b_lo, b_hi = float(doping.b.values.min()), float(doping.b.values.max())
     margin = 0.1 * (b_hi - b_lo)
 
-    f = Field(grid, np.zeros(grid.shape)) if initial_f is None else initial_f
+    if initial_f is None:
+        f_hat, f_vals = np.zeros_like(op.b_dev), np.zeros(grid.shape)
+        D = np.zeros_like(f_hat)           # the operator of f = 0
+    else:
+        f_hat, f_vals = initial_f.coefficients(), initial_f.values
+        D = op.flux_div(f_hat, f_vals)
     omega = relaxation
     history = []
     prev_res = np.inf
     for it in range(1, max_iter + 1):
-        target = _picard_sweep(params, doping, f, hp_bar)
+        target = op.target(D, f_hat)
         if newton:
-            target = _newton_correct(params, doping, f, target, hp_bar)
-        f_new = Field(grid, (1.0 - omega) * f.values + omega * target.values)
-        rho_new = Field(grid, rho_bar + f_new.values)
-        if np.any(rho_new.values <= 0):
+            target = _newton_correct(op, target)
+        f_new = (1.0 - omega) * f_hat + omega * target
+        f_vals = irfftn(grid, f_new)
+        rho_vals = rho_bar + f_vals
+        if np.any(rho_vals <= 0):
             raise SteadySolveError("total density left (0, inf) during iteration",
                                    history)
-        if (rho_new.values.min() < b_lo - margin - 1e-14
-                or rho_new.values.max() > b_hi + margin + 1e-14):
+        if (rho_vals.min() < b_lo - margin - 1e-14
+                or rho_vals.max() > b_hi + margin + 1e-14):
             raise SteadySolveError(
                 "iterate left the admissible doping range "
                 f"[{b_lo - margin:.6g}, {b_hi + margin:.6g}]", history)
-        res = _elliptic_residual(params, rho_new, doping)
+        D = op.flux_div(f_new, f_vals)
+        res = coeff_norm(grid, op.defect(D, f_new))
         history.append(res)
         if res > prev_res and omega > 0.0625:
             omega *= 0.5           # automatic damping on residual increase
-        update = sobolev_norm(Field(grid, f_new.values - f.values), 2)
-        f = f_new
+        update = coeff_norm(grid, f_new - f_hat, 2)
+        f_hat = f_new
         prev_res = res
         if update < tol or res < tol:
             break
@@ -199,33 +222,25 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
             f"no convergence within {max_iter} iterations "
             f"(last residual {history[-1]:.3e})", history)
 
-    rho_s = Field(grid, rho_bar + f.values)
+    rho_s = Field(grid, rho_bar + f_vals)
     h_vals = np.asarray(params.law.h(rho_s.values))
     phi_s = Field(grid, h_vals - h_vals.mean())
-    return SteadyState(rho_s=rho_s, phi_s=phi_s, f=f, rho_bar=rho_bar,
+    return SteadyState(rho_s=rho_s, phi_s=phi_s,
+                       f=Field(grid, f_vals, _coeffs=f_hat), rho_bar=rho_bar,
                        residual_l2=history[-1] if history else 0.0,
                        iterations=len(history), residual_history=history)
 
 
-def _newton_correct(params, doping, f, picard_target, hp_bar, inner=4):
+def _newton_correct(op, picard_target, inner=4):
     """Refine the Picard target by a few preconditioned corrections of the
-    full linearized residual (inexact Newton with the constant-coefficient
-    operator as preconditioner)."""
-    grid = doping.grid
-    law = params.law
-    k2 = grid.wavenumber_magnitude() ** 2
-    sym = 1.0 / (hp_bar * k2 + 1.0)
+    full residual (inexact Newton with the constant-coefficient operator
+    as preconditioner)."""
     g = picard_target
     for _ in range(inner):
-        rho = Field(grid, params.rho_bar + g.values)
-        if np.any(rho.values <= 0):
+        g_vals = irfftn(op.grid, g)
+        if np.any(op.params.rho_bar + g_vals <= 0):
             return picard_target
-        hp = np.asarray(law.h_prime(rho.values))
-        grad_g = gradient(g)
-        flux = dealias(Field(grid, hp[None, :] * grad_g.values))
-        defect = divergence(flux).values - (rho.values - doping.b.values)
-        corr = inverse_transform(grid, Field(grid, defect).spectrum() * sym)
-        g = Field(grid, g.values + corr.values)
+        g = g + op.sym * op.defect(op.flux_div(g, g_vals), g)
     return g
 
 
@@ -245,41 +260,69 @@ class SteadyReport:
     ratio_w2r_lr: float
 
 
-def w2r_norm(f: Field, r: float) -> float:
-    """Discrete W^{2,r}: grid L^r quadrature of the function, its multiplier
-    gradient, and its multiplier Hessian (Frobenius magnitude)."""
-    g = gradient(f)
+def _derivatives(f: Field):
+    """grad f (carrying its coefficients ik f_hat) and the pointwise
+    Frobenius magnitude of the Hessian, from one batched inverse transform
+    of ik_a f_hat and the distinct ik_a ik_b f_hat."""
     grid = f.grid
-    hess_rows = [gradient(g.component(a)) for a in range(grid.dim)]
-    hess_sq = sum(np.sum(h.values ** 2, axis=0) for h in hess_rows)
-    hess = Field(grid, np.sqrt(hess_sq))
-    return (lp_norm(f, r) ** r + lp_norm(g, r) ** r
+    dim, ik = grid.dim, real_layout(grid).ik
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    hat = np.empty((dim + len(pairs),) + ik.shape[1:], dtype=complex)
+    np.multiply(ik, f.coefficients(), out=hat[:dim])
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(ik[b], hat[a], out=hat[dim + i])
+    phys = irfftn(grid, hat)
+    hess_sq = sum((1.0 if a == b else 2.0) * phys[dim + i] ** 2
+                  for i, (a, b) in enumerate(pairs))
+    return (Field(grid, phys[:dim], _coeffs=hat[:dim]),
+            Field(grid, np.sqrt(hess_sq)))
+
+
+def w2r_norm(f: Field, r: float, derivatives=None) -> float:
+    """Discrete W^{2,r}: grid L^r quadrature of the function, its multiplier
+    gradient, and its multiplier Hessian (Frobenius magnitude);
+    ``derivatives`` is `_derivatives(f)` when the caller has it."""
+    grad, hess = derivatives or _derivatives(f)
+    return (lp_norm(f, r) ** r + lp_norm(grad, r) ** r
             + lp_norm(hess, r) ** r) ** (1.0 / r)
 
 
 def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
                   r: float = 1.2, hk: int = 2, slack: float = 1e-8) -> SteadyReport:
-    """Diagnostic report on a computed steady state (pure checks, no raise)."""
+    """Diagnostic report on a computed steady state (pure checks, no raise).
+
+    The residual and the gradient balance go through the full complex
+    path (`gradient`, `dealias`, `divergence`), independently of the
+    solver; the norms read the real-layout coefficients of ss.f."""
     grid = ss.rho_s.grid
     b_min, b_max = float(doping.b.values.min()), float(doping.b.values.max())
     rho_min = float(ss.rho_s.values.min())
     rho_max = float(ss.rho_s.values.max())
     bounds_ok = rho_min >= b_min - slack and rho_max <= b_max + slack
 
-    h_vals = np.asarray(params.law.h(ss.rho_s.values))
-    bal = gradient(Field(grid, h_vals)) - gradient(ss.phi_s)
-    bal_l2 = float(np.sqrt(np.sum(bal.values ** 2) * grid.cell_volume))
+    # the derivative norms first, and their arrays (the largest the report
+    # makes) dropped before the complex-path checks
+    grad, hess = _derivatives(ss.f)
+    w2r = w2r_norm(ss.f, r, (grad, hess))
+    grad_hk = sobolev_norm(grad, hk)
+    del grad, hess
+    lr = lp_norm(Field(grid, doping.b.values - doping.b_bar), r)
 
-    dev = Field(grid, doping.b.values - doping.b_bar)
-    w2r = w2r_norm(ss.f, r)
-    lr = lp_norm(dev, r)
+    def l2(v):
+        return float(np.sqrt(np.sum(v ** 2) * grid.cell_volume))
+
+    hp = np.asarray(params.law.h_prime(ss.rho_s.values))
+    res_l2 = l2(divergence(dealias(Field(grid, hp * gradient(ss.rho_s).values))).values
+                - (ss.rho_s.values - doping.b.values))
+    h_vals = np.asarray(params.law.h(ss.rho_s.values))
+    bal_l2 = l2((gradient(Field(grid, h_vals)) - gradient(ss.phi_s)).values)
     return SteadyReport(
         bounds_ok=bounds_ok,
         rho_min=rho_min, rho_max=rho_max, b_min=b_min, b_max=b_max,
         mean_mismatch=abs(float(ss.rho_s.values.mean()) - doping.b_bar),
-        residual_l2=_elliptic_residual(params, ss.rho_s, doping),
+        residual_l2=res_l2,
         gradient_balance_l2=bal_l2,
-        grad_rho_hk=sobolev_norm(gradient(ss.rho_s), hk),
+        grad_rho_hk=grad_hk,
         w2r_deviation=w2r,
         lr_doping_deviation=lr,
         ratio_w2r_lr=w2r / lr if lr > 0 else 0.0,

@@ -162,6 +162,9 @@ class TestPipeline:
         for name, digest in manifest["files"].items():
             actual = hashlib.sha256((outdir / name).read_bytes()).hexdigest()
             assert actual == digest, name
+        steady = json.loads((outdir / "steady.json").read_text())
+        assert len(steady["residual_history"]) == steady["iterations"] >= 1
+        assert steady["residual_history"][-1] == steady["residual_l2"]
 
     def test_binary_fields_readable(self, result):
         outdir, _ = result

@@ -86,17 +86,25 @@ class TestExpm2:
         xi_c = np.sqrt((rb * hb + np.sqrt((rb * hb) ** 2 + nu * nu * rb))
                        * 2.0 / (nu * nu))
         ddelta = nu * nu * xi_c ** 3 - 2.0 * rb * hb * xi_c   # d delta / d xi
+        cases = [(ModeSymbol.from_params(PARAMS, xi_c + side * target / ddelta).block, t)
+                 for target in np.geomspace(1e-12, 1e-3, 10)
+                 for side in (-1.0, 1.0)
+                 for t in (0.05, 0.5, 2.0, 5.0, 20.0)]
+        # points of the "2x2 exponential oracle" gate's (xi, t) grid, whose
+        # scipy reference is itself off by up to 5e-12: its worst point
+        # (xi = 1e-2, t = 7.54, entries about 95) and a spread of others
+        xis = np.geomspace(1e-2, 10.0, 50)
+        ts = np.geomspace(1e-2, 10.0, 50)
+        for i, j in ((0, 47), (0, 49), (0, 0), (10, 30), (25, 25), (40, 10),
+                     (49, 49)):
+            cases.append((ModeSymbol.from_params(PARAMS, xis[i]).block, ts[j]))
         worst = 0.0
         with mpmath.workdps(40):
-            for target in np.geomspace(1e-12, 1e-3, 10):
-                for side in (-1.0, 1.0):
-                    B = ModeSymbol.from_params(
-                        PARAMS, xi_c + side * target / ddelta).block
-                    for t in (0.05, 0.5, 2.0, 5.0, 20.0):
-                        ref = mpmath.expm(mpmath.matrix(B.tolist()) * mpmath.mpf(t))
-                        ref = np.array(ref.tolist(), dtype=float)
-                        err = np.max(np.abs(expm2(B, t) - ref)) / np.max(np.abs(ref))
-                        worst = max(worst, err)
+            for B, t in cases:
+                ref = mpmath.expm(mpmath.matrix(B.tolist()) * mpmath.mpf(float(t)))
+                ref = np.array(ref.tolist(), dtype=float)
+                err = np.max(np.abs(expm2(B, t) - ref)) / np.max(np.abs(ref))
+                worst = max(worst, err)
         assert worst <= 1e-13
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nsplab.spectral import Field, Grid, gradient, lp_norm
-from nsplab.steady import (SteadySolveError, cosine_doping, doping_from_name,
-                           flat_doping, gaussian_bump_doping, solve_steady,
-                           verify_steady, w2r_norm)
+from nsplab.spectral import (Field, Grid, dealias, divergence, gradient,
+                             irfftn, lp_norm, sobolev_norm)
+from nsplab.steady import (SteadySolveError, _Elliptic, cosine_doping,
+                           doping_from_name, flat_doping, gaussian_bump_doping,
+                           solve_steady, verify_steady, w2r_norm)
 from nsplab.thermo import FluidParams, GammaLaw
 
 GRID = Grid(dim=2, n=32)
@@ -12,6 +13,15 @@ GRID = Grid(dim=2, n=32)
 
 def params_for(doping, gamma=2.0):
     return FluidParams(law=GammaLaw(gamma), rho_bar=doping.b_bar)
+
+
+def white_noise(grid, seed, scale=1.0):
+    """Mean-zero white noise: every mode, Nyquist ones included, is excited."""
+    v = np.random.default_rng(seed).normal(size=grid.shape)
+    return Field(grid, scale * (v - v.mean()))
+
+
+GRIDS = [Grid(dim=1, n=64), Grid(dim=2, n=32), Grid(dim=3, n=16)]
 
 
 class TestDopingPresets:
@@ -88,6 +98,46 @@ class TestSolveSteady:
             solve_steady(params_for(d, gamma=1.4), d, tol=1e-30, max_iter=3)
         assert len(exc.value.residual_history) == 3
 
+    def test_relaxation_reaches_same_state(self):
+        d = cosine_doping(GRID, amplitude=0.1)
+        p = params_for(d, gamma=1.4)
+        full = solve_steady(p, d, tol=1e-13)
+        half = solve_steady(p, d, tol=1e-13, relaxation=0.5)
+        assert half.iterations > full.iterations
+        np.testing.assert_allclose(half.rho_s.values, full.rho_s.values,
+                                   rtol=0, atol=1e-12)
+
+    def test_returned_deviation_carries_its_coefficients(self):
+        d = gaussian_bump_doping(GRID, amplitude=0.1)
+        ss = solve_steady(params_for(d, gamma=1.4), d)
+        np.testing.assert_allclose(irfftn(GRID, ss.f.coefficients()),
+                                   ss.f.values, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(ss.rho_s.values - ss.rho_bar, ss.f.values,
+                                   rtol=0, atol=1e-15)
+
+    def test_fft_budget(self, monkeypatch):
+        # each sweep is one elliptic evaluation on the real layout: at most
+        # 4 scipy.fft calls per iteration plus 1, none from numpy.fft and no
+        # full complex transform
+        import numpy.fft
+        import scipy.fft
+        grid = Grid(dim=3, n=16)
+        d = cosine_doping(grid, amplitude=0.05)
+        calls = {}
+        for mod in (numpy.fft, scipy.fft):
+            for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn",
+                         "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
+                def counted(*args, _fn=getattr(mod, name),
+                            _key=f"{mod.__name__}.{name}", **kwargs):
+                    calls[_key] = calls.get(_key, 0) + 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
+        ss = solve_steady(params_for(d, gamma=1.4), d)
+        assert ss.iterations > 1
+        assert not any(key.startswith("numpy.fft") for key in calls)
+        assert "scipy.fft.fftn" not in calls and "scipy.fft.ifftn" not in calls
+        assert sum(calls.values()) <= 4 * ss.iterations + 1
+
     def test_linear_response_scaling(self):
         # halving the doping amplitude halves the density deviation
         norms = {}
@@ -98,7 +148,44 @@ class TestSolveSteady:
         assert norms[0.025] / norms[0.05] == pytest.approx(0.5, abs=0.02)
 
 
+class TestEllipticOperator:
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_matches_complex_composition(self, grid):
+        d = gaussian_bump_doping(grid, amplitude=0.1)
+        p = params_for(d, gamma=1.4)
+        f = white_noise(grid, seed=grid.dim, scale=1e-2)
+        hp = p.law.h_prime(p.rho_bar + f.values)
+        want = divergence(dealias(Field(grid, hp * gradient(f).values))).values
+        got = irfftn(grid, _Elliptic(p, d).flux_div(f.coefficients(), f.values))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_w2r_norm_matches_gradient_of_gradient(self, grid):
+        f = white_noise(grid, seed=10 + grid.dim)
+        r = 1.2
+        g = gradient(f)
+        hess_sq = sum(np.sum(gradient(g.component(a)).values ** 2, axis=0)
+                      for a in range(grid.dim))
+        want = (lp_norm(f, r) ** r + lp_norm(g, r) ** r
+                + lp_norm(Field(grid, np.sqrt(hess_sq)), r) ** r) ** (1.0 / r)
+        assert w2r_norm(f, r) == pytest.approx(want, rel=1e-13)
+
+
 class TestVerifySteady:
+    @pytest.mark.parametrize("gamma", [1.4, 2.0])
+    def test_solver_residual_matches_independent_check(self, gamma):
+        # a bump wide enough for 32^3 to resolve, so both residuals sit at
+        # roundoff rather than at the truncation floor
+        grid = Grid(dim=3, n=32)
+        d = gaussian_bump_doping(grid, amplitude=0.2, sigma=1.2)
+        p = params_for(d, gamma=gamma)
+        ss = solve_steady(p, d, tol=1e-11)
+        rep = verify_steady(p, ss, d)
+        assert rep.residual_l2 < 1e-11
+        assert abs(ss.residual_l2 - rep.residual_l2) <= 1e-11
+        assert rep.grad_rho_hk == pytest.approx(
+            sobolev_norm(gradient(ss.rho_s), 2), rel=1e-13)
+
     def test_potential_balances_enthalpy_gradient(self):
         d = gaussian_bump_doping(GRID, amplitude=0.1)
         p = params_for(d)
