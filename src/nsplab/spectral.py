@@ -383,20 +383,22 @@ def coeff_norm(grid: Grid, coeffs: np.ndarray, k: int = 0,
                          * np.sum(np.dot(v.reshape(-1, w.size) ** 2, w))))
 
 
+def _field_norm(f: Field, k: int, base: float) -> float:
+    if base < 0:
+        _require_mean_zero(f, f"norm of order {base}")
+    return coeff_norm(f.grid, f.coefficients(), k, base)
+
+
 def grad_norm(f: Field, ell: float) -> float:
     """||nabla^ell f||_{L^2} in multiplier form (ell real, possibly negative)."""
-    if ell < 0:
-        _require_mean_zero(f, f"norm of order {ell}")
-    return coeff_norm(f.grid, f.coefficients(), 0, ell)
+    return _field_norm(f, 0, ell)
 
 
 def sobolev_norm(f: Field, k: int, base_order: float = 0.0) -> float:
     """||nabla^base_order f||_{H^k} = (sum_{j<=k} ||nabla^{base_order+j} f||^2)^{1/2}."""
     if k < 0 or k != int(k):
         raise ValueError("sobolev index must be a nonnegative integer")
-    if base_order < 0:
-        _require_mean_zero(f, f"norm of order {base_order}")
-    return coeff_norm(f.grid, f.coefficients(), k, base_order)
+    return _field_norm(f, k, base_order)
 
 
 def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,

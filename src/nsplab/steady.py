@@ -119,7 +119,7 @@ class SteadyState:
     phi_s: Field
     f: Field                      # rho_s - rho_bar
     rho_bar: float
-    residual_l2: float
+    residual_l2: float            # Parseval L2 defect (see solve_steady)
     iterations: int
     residual_history: list = dc_field(default_factory=list)
 
@@ -128,10 +128,12 @@ class _Elliptic:
     """The steady equation on the real-layout coefficients f_hat of f.
 
     `flux_div` gives D = div dealias(h'(rho_s) grad f) as
-    mask (ik . rfftn(h'(rho_bar + f) irfftn(ik f_hat))); `defect` and
-    `target` turn it into the residual and the next Picard iterate, since
-    div dealias(h'(rho_bar) grad f) = -h'(rho_bar) mask |k|^2 f_hat exactly
-    (ik is zero at Nyquist entries, which lie outside the mask).
+    mask (ik . rfftn(h'(rho_bar + f) irfftn(ik f_hat))), and `defect` turns
+    it into the residual.  The next Picard iterate is
+    sym (D + shift f_hat + (b - b_bar)^), with sym the symbol of
+    (-h'(rho_bar) Lap + 1)^{-1}, since div dealias(h'(rho_bar) grad f) =
+    -shift f_hat exactly (ik is zero at Nyquist entries, which lie outside
+    the mask).
     """
 
     def __init__(self, params, doping):
@@ -156,21 +158,18 @@ class _Elliptic:
         r[(0,) * self.grid.dim] += self.mean_gap
         return r
 
-    def target(self, D, f_hat):
-        """sym (D + h'(rho_bar) mask |k|^2 f_hat + (b - b_bar)^), with sym the
-        symbol of (-h'(rho_bar) Lap + 1)^{-1}."""
-        return self.sym * (D + self.shift * f_hat + self.b_dev)
-
 
 def solve_steady(params: FluidParams, doping: DopingProfile,
                  tol: float = 1e-10, max_iter: int = 200,
-                 relaxation: float = 1.0, newton: bool = False,
-                 initial_f: Field | None = None) -> SteadyState:
+                 relaxation: float = 1.0, newton: bool = False) -> SteadyState:
     """Damped Picard (optionally Newton-accelerated) solve of the steady
     elliptic equation on the real-layout coefficients of f.  One operator
     evaluation per sweep gives both the residual of the iterate and the
-    next Picard target.  Convergence is measured by the H^2 norm of the
-    update; the returned residual is the L2 defect of the full equation."""
+    next Picard target.  The sweeps stop when the H^2 norm of the update or
+    the residual falls below tol.  The residual (`residual_l2`) is the L2
+    defect of the full equation read from the coefficients by Parseval,
+    below the roundoff floor of the grid; `verify_steady` recomputes it on
+    the grid as an independent check."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     grid = doping.grid
@@ -183,17 +182,12 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     b_lo, b_hi = float(doping.b.values.min()), float(doping.b.values.max())
     margin = 0.1 * (b_hi - b_lo)
 
-    if initial_f is None:
-        f_hat, f_vals = np.zeros_like(op.b_dev), np.zeros(grid.shape)
-        D = np.zeros_like(f_hat)           # the operator of f = 0
-    else:
-        f_hat, f_vals = initial_f.coefficients(), initial_f.values
-        D = op.flux_div(f_hat, f_vals)
+    f_hat, D = np.zeros_like(op.b_dev), 0.0    # f = 0 and its operator
     omega = relaxation
     history = []
     prev_res = np.inf
     for it in range(1, max_iter + 1):
-        target = op.target(D, f_hat)
+        target = op.sym * (D + op.shift * f_hat + op.b_dev)
         if newton:
             target = _newton_correct(op, target)
         f_new = (1.0 - omega) * f_hat + omega * target
@@ -260,10 +254,11 @@ class SteadyReport:
     ratio_w2r_lr: float
 
 
-def _derivatives(f: Field):
-    """grad f (carrying its coefficients ik f_hat) and the pointwise
-    Frobenius magnitude of the Hessian, from one batched inverse transform
-    of ik_a f_hat and the distinct ik_a ik_b f_hat."""
+def w2r_norm(f: Field, r: float) -> float:
+    """Discrete W^{2,r}: grid L^r quadrature of the function, its multiplier
+    gradient, and its multiplier Hessian (Frobenius magnitude), the last two
+    from one batched inverse transform of ik_a f_hat and the distinct
+    ik_a ik_b f_hat."""
     grid = f.grid
     dim, ik = grid.dim, real_layout(grid).ik
     pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
@@ -274,17 +269,8 @@ def _derivatives(f: Field):
     phys = irfftn(grid, hat)
     hess_sq = sum((1.0 if a == b else 2.0) * phys[dim + i] ** 2
                   for i, (a, b) in enumerate(pairs))
-    return (Field(grid, phys[:dim], _coeffs=hat[:dim]),
-            Field(grid, np.sqrt(hess_sq)))
-
-
-def w2r_norm(f: Field, r: float, derivatives=None) -> float:
-    """Discrete W^{2,r}: grid L^r quadrature of the function, its multiplier
-    gradient, and its multiplier Hessian (Frobenius magnitude);
-    ``derivatives`` is `_derivatives(f)` when the caller has it."""
-    grad, hess = derivatives or _derivatives(f)
-    return (lp_norm(f, r) ** r + lp_norm(grad, r) ** r
-            + lp_norm(hess, r) ** r) ** (1.0 / r)
+    return (lp_norm(f, r) ** r + lp_norm(Field(grid, phys[:dim]), r) ** r
+            + lp_norm(Field(grid, np.sqrt(hess_sq)), r) ** r) ** (1.0 / r)
 
 
 def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
@@ -300,12 +286,7 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
     rho_max = float(ss.rho_s.values.max())
     bounds_ok = rho_min >= b_min - slack and rho_max <= b_max + slack
 
-    # the derivative norms first, and their arrays (the largest the report
-    # makes) dropped before the complex-path checks
-    grad, hess = _derivatives(ss.f)
-    w2r = w2r_norm(ss.f, r, (grad, hess))
-    grad_hk = sobolev_norm(grad, hk)
-    del grad, hess
+    w2r = w2r_norm(ss.f, r)
     lr = lp_norm(Field(grid, doping.b.values - doping.b_bar), r)
 
     def l2(v):
@@ -322,7 +303,7 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
         mean_mismatch=abs(float(ss.rho_s.values.mean()) - doping.b_bar),
         residual_l2=res_l2,
         gradient_balance_l2=bal_l2,
-        grad_rho_hk=grad_hk,
+        grad_rho_hk=sobolev_norm(ss.f, hk, 1),  # ||grad f||_{H^k}
         w2r_deviation=w2r,
         lr_doping_deviation=lr,
         ratio_w2r_lr=w2r / lr if lr > 0 else 0.0,
