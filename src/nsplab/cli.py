@@ -49,11 +49,17 @@ def _add_doping_args(p):
 
 
 def _build_doping(args, grid):
-    kw = {"flat": {},
-          "gaussian-bump": {"amplitude": args.amplitude, "center": args.center,
-                            "sigma": args.sigma},
-          "cosine": {"amplitude": args.amplitude, "mode": args.mode}}
-    return doping_from_name(grid, args.doping, **kw[args.doping])
+    if args.doping == "flat":
+        return doping_from_name(grid, "flat")
+    if args.doping == "gaussian-bump":
+        kw = {"amplitude": args.amplitude}
+        if args.center is not None:
+            kw["center"] = args.center
+        if args.sigma is not None:
+            kw["sigma"] = args.sigma
+        return doping_from_name(grid, "gaussian-bump", **kw)
+    return doping_from_name(grid, "cosine", amplitude=args.amplitude,
+                            mode=args.mode)
 
 
 def _build_fluid(args, rho_bar):

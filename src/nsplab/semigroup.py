@@ -16,7 +16,7 @@ The evolution matrix e^{tB} is the mode semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -364,8 +364,12 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
 def _linf_curve(query, times, params, nodes_per_panel):
     """L^inf surrogate via interpolation between first- and second-derivative
     L^2 norms: ||f||_inf <~ ||grad f||^{1/2} ||grad^2 f||^{1/2}."""
-    c1, c2 = (decay_curve(replace(query, ell=ell, q=2.0), times, params,
-                          nodes_per_panel) for ell in (1.0, 2.0))
+    q1 = LinearDecayQuery(ell=1.0, p=query.p, q=2.0, component=query.component,
+                          parts=query.parts, profile_name=query.profile_name)
+    q2 = LinearDecayQuery(ell=2.0, p=query.p, q=2.0, component=query.component,
+                          parts=query.parts, profile_name=query.profile_name)
+    c1 = decay_curve(q1, times, params, nodes_per_panel)
+    c2 = decay_curve(q2, times, params, nodes_per_panel)
     return [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)]
 
 

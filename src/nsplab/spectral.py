@@ -44,6 +44,7 @@ __all__ = [
     "coeff_norm",
     "gn_interpolation_check",
     "dealias",
+    "dealias_product",
 ]
 
 
@@ -432,3 +433,8 @@ def dealias(f: Field) -> Field:
     """Truncate a field to the 2/3-rule ball."""
     grid = f.grid
     return Field(grid, irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask))
+
+
+def dealias_product(a: Field, b: Field) -> Field:
+    """Pointwise product of scalar fields, truncated by the 2/3 rule."""
+    return dealias(Field(a.grid, a.values * b.values))
