@@ -155,31 +155,46 @@ def _scalar_times_vector(s: np.ndarray, v: Field) -> Field:
 class Background:
     """What the constant-coefficient form needs of the steady state and the
     fluid, evaluated once: rho_s - rho_bar, h'(rho_s) - h'(rho_bar),
-    h'(rho_bar) and the real-layout symbols."""
+    h'(rho_bar) and the real-layout symbols.  It also owns the work arrays
+    `nonlinear_terms` overwrites on every call, sized from the grid once."""
 
     def __init__(self, ss: SteadyState, params: FluidParams):
         self.params = params
         self.rho_s = ss.rho_s
-        self.grid = ss.rho_s.grid
-        self.layout = real_layout(self.grid)
-        self.ik_mask = self.layout.ik * self.layout.mask
-        self.mu_lap = -params.mu * self.layout.kmag ** 2
+        self.grid = grid = ss.rho_s.grid
+        self.layout = lay = real_layout(grid)
+        self.ik_mask = lay.ik * lay.mask
+        self.mu_lap = -params.mu * lay.kmag ** 2
         self.hp_bar = params.h_prime_bar
         self.carried = ss.rho_s.values - params.rho_bar
         self.hp_jump = np.asarray(params.law.h_prime(ss.rho_s.values)) - self.hp_bar
+        dim, half = grid.dim, lay.kmag.shape
+        self.hat = np.empty((dim * dim + dim,) + half, dtype=complex)
+        self.prod = np.empty((2 * dim + 1,) + grid.shape)
+        self.work = np.empty((1 + dim,) + grid.shape)      # scalar, vector
+        self.work_hat = np.empty(half, dtype=complex)
 
 
 def _dot(a, b):
     return sum(a[i] * b[i] for i in range(len(a)))
 
 
-def _viscous_hat(u_hat, bg: Background):
-    """mu Lap u + (mu + mu') grad div u on the real layout; at Nyquist
-    modes grad div keeps its even products (see `RealLayout`)."""
-    lay, params = bg.layout, bg.params
-    grad_div = (lay.ik * _dot(lay.ik, u_hat)
-                - lay.k_nyquist * _dot(lay.k_nyquist, u_hat))
-    return bg.mu_lap * u_hat + (params.mu + params.mu_prime) * grad_div
+def _viscous_hat(u_hat, bg: Background, out):
+    """mu Lap u + (mu + mu') grad div u on the real layout, written into
+    out; at Nyquist modes grad div keeps its even products (see
+    `RealLayout`), added on the Nyquist planes alone."""
+    lay, params, div = bg.layout, bg.params, bg.work_hat
+    np.multiply(lay.ik, u_hat, out=out)
+    np.sum(out, axis=0, out=div)
+    np.multiply(lay.ik, div, out=out)
+    for a, plane in enumerate(lay.nyquist):
+        at = (slice(None),) + plane
+        kn = lay.k_nyquist[at]
+        out[a][plane] -= kn[a] * _dot(kn, u_hat[at])
+    out *= params.mu + params.mu_prime
+    for a in range(len(out)):
+        np.multiply(bg.mu_lap, u_hat[a], out=div)
+        out[a] += div
 
 
 def rhs_nonlinear(state: PerturbationState, ss: SteadyState,
@@ -238,35 +253,48 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     `rfftn` coefficients.  grad u and the viscous term come back from one
     inverse transform; the quadratic products go forward in one transform,
     summed where they share a symbol, and are dealiased by the 2/3 mask.
+    The transforms' inputs are built in bg's work arrays; N1 and N2 are
+    built in place in the forward transform's fresh output.
     """
     grid, lay, params = bg.grid, bg.layout, bg.params
     dim = grid.dim
-    half = rho_hat.shape
-    hat = np.empty((dim * dim + dim,) + half, dtype=complex)
+    hat, prod = bg.hat, bg.prod
+    s, vec = bg.work[0], bg.work[1:]
     np.multiply(u_hat[:, None], lay.ik[None, :],
-                out=hat[:dim * dim].reshape((dim, dim) + half))
-    hat[dim * dim:] = _viscous_hat(u_hat, bg)
+                out=hat[:dim * dim].reshape((dim, dim) + rho_hat.shape))
+    _viscous_hat(u_hat, bg, hat[dim * dim:])
     phys = irfftn(grid, hat)
     grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
     visc = phys[dim * dim:]
 
-    total = rho + bg.rho_s.values
     R = remainder(params.law, Field(grid, rho), bg.rho_s).values
     # 1/(rho_s + rho) - 1/rho_bar multiplies visc pointwise, so it is
     # dealiased on its own first
-    inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / params.rho_bar)).values
+    np.add(rho, bg.rho_s.values, out=s)
+    np.divide(1.0, s, out=s)
+    s -= 1.0 / params.rho_bar
+    inv_jump = dealias(Field(grid, s)).values
 
     # [(rho + rho_s - rho_bar) u, inv_jump visc - u . grad u,
     #  R + (h'(rho_s) - h'(rho_bar)) rho]
-    prod = np.empty((2 * dim + 1,) + grid.shape)
-    np.multiply(rho + bg.carried, u, out=prod[:dim])
-    np.multiply(inv_jump, visc, out=prod[dim:2 * dim])
-    prod[dim:2 * dim] -= np.sum(u[None] * grad_u, axis=1)
-    np.multiply(bg.hp_jump, rho, out=prod[2 * dim])
-    prod[2 * dim] += R
+    flux, mom, scal = prod[:dim], prod[dim:2 * dim], prod[2 * dim]
+    np.add(rho, bg.carried, out=s)
+    np.multiply(s, u, out=flux)
+    np.multiply(inv_jump, visc, out=mom)
+    for a in range(dim):                 # (u . grad u)_a = sum_b u_b d_b u_a
+        mom[a] -= np.sum(np.multiply(u, grad_u[a], out=vec), axis=0, out=s)
+    np.multiply(bg.hp_jump, rho, out=scal)
+    scal += R
+    del phys, grad_u, visc               # free before the forward transform
     c = rfftn(grid, prod)
-    n1 = -_dot(bg.ik_mask, c[:dim])
-    n2 = lay.mask * c[dim:2 * dim] - bg.ik_mask * c[2 * dim]
+
+    # N2 = mask c_mom - ik_mask c_scal, then N1 = -ik_mask . c_flux over c_scal
+    n1, n2 = c[2 * dim], c[dim:2 * dim]
+    n2 *= lay.mask
+    for a in range(dim):
+        n2[a] -= np.multiply(bg.ik_mask[a], n1, out=bg.work_hat)
+    c[:dim] *= bg.ik_mask
+    np.negative(np.sum(c[:dim], axis=0, out=n1), out=n1)
     return n1, n2
 
 
@@ -310,15 +338,21 @@ class Integrator:
         E, heat = mode_exponential(ModeSymbol.from_params(params, safe), t)
         E[:, zero] = np.eye(2)
         heat[:, zero] = 1.0
+        # entries first in memory, so each E[..., i, j] is contiguous
+        E = np.moveaxis(np.moveaxis(E, (-2, -1), (1, 2)).copy(), (1, 2), (-2, -1))
         self._prop_full = E[0], heat[0]
         self._prop_half = E[1], heat[1]
 
     def _apply_linear(self, rho_hat, u_hat, prop):
         E, heat = prop
         rho_new, u_new = hodge_evolve(E, heat, self._khat, rho_hat, u_hat)
-        # a Nyquist mode keeps the even part of the projection khat khat^T
-        kn = self._khat_nyquist
-        u_new += (E[..., 1, 1] - heat) * _dot(kn, u_hat) * kn
+        # a Nyquist mode keeps the even part of the projection khat khat^T,
+        # which for component a lives on the Nyquist plane of axis a
+        for a, plane in enumerate(self.bg.layout.nyquist):
+            at = (slice(None),) + plane
+            kn = self._khat_nyquist[at]
+            u_new[a][plane] += ((E[..., 1, 1][plane] - heat[plane])
+                                * _dot(kn, u_hat[at]) * kn[a])
         rho_new[(0,) * self.grid.dim] = 0.0      # density zero mode pinned
         return rho_new, u_new
 
@@ -340,18 +374,22 @@ class Integrator:
         n1, n2 = nonlinear_terms(state.rho.values, state.u.values,
                                  rho0, u0, self.bg)
 
-        # half step: U* = E(dt/2) (U + dt/2 N(U))
-        mid = self._state(*self._apply_linear(rho0 + 0.5 * dt * n1,
-                                              u0 + 0.5 * dt * n2,
-                                              self._prop_half),
+        # half step: U* = E(dt/2) (U + dt/2 N(U)), U + dt/2 N built in N
+        n1 *= 0.5 * dt
+        n1 += rho0
+        n2 *= 0.5 * dt
+        n2 += u0
+        mid = self._state(*self._apply_linear(n1, n2, self._prop_half),
                           state.t + 0.5 * dt)
-        m1, m2 = nonlinear_terms(mid.rho.values, mid.u.values,
-                                 *mid.coefficients(), self.bg)
-        m1h, m2h = self._apply_linear(m1, m2, self._prop_half)
+        del n1, n2                       # free N(U) before the second stage
+        m1, m2 = self._apply_linear(
+            *nonlinear_terms(mid.rho.values, mid.u.values,
+                             *mid.coefficients(), self.bg),
+            self._prop_half)
 
         rho_f, u_f = self._apply_linear(rho0, u0, self._prop_full)
-        rho_f += dt * m1h
-        u_f += dt * m2h
+        rho_f += np.multiply(m1, dt, out=m1)
+        u_f += np.multiply(m2, dt, out=m2)
         rho_f[(0,) * self.grid.dim] = 0.0
 
         new = self._state(rho_f, u_f, state.t + dt)

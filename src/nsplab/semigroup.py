@@ -202,8 +202,11 @@ def hodge_evolve(E, heat, khat, rho_hat, u_hat):
     proj = sum(khat[a] * u_hat[a] for a in range(len(khat)))
     dlong = 1j * proj                  # Lambda^{-1} div u amplitude
     rho_new = E[..., 0, 0] * rho_hat + E[..., 0, 1] * dlong
-    d_new = E[..., 1, 0] * rho_hat + E[..., 1, 1] * dlong
-    u_new = -1j * d_new * khat + heat * (u_hat - proj * khat)
+    d_new = -1j * (E[..., 1, 0] * rho_hat + E[..., 1, 1] * dlong)
+    # one component at a time, so no temporary holds a whole vector
+    u_new = np.empty(np.shape(u_hat), dtype=complex)
+    for a in range(len(khat)):
+        u_new[a] = d_new * khat[a] + heat * (u_hat[a] - proj * khat[a])
     return rho_new, u_new
 
 

@@ -140,6 +140,13 @@ class RealLayout:
     kmag: np.ndarray          # |k|
     mask: np.ndarray          # 2/3 rule: |m_a| <= n/3 on every axis
 
+    @property
+    def nyquist(self):
+        """Per axis a, the index of its Nyquist plane |m_a| = n/2 in a
+        half-grid scalar: the only entries where ``k_nyquist[a]`` is nonzero."""
+        half = self.ik.shape[-1] - 1            # n/2 on every axis
+        return [(slice(None),) * a + (half,) for a in range(len(self.ik))]
+
 
 @lru_cache(maxsize=32)
 def real_layout(grid: Grid) -> RealLayout:

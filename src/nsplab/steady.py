@@ -20,8 +20,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .spectral import (Field, Grid, coeff_norm, dealias, divergence, gradient,
-                       irfftn, lp_norm, real_layout, rfftn, sobolev_norm)
+from .spectral import (Field, Grid, coeff_norm, dealias, divergence, grad_norm,
+                       gradient, irfftn, lp_norm, real_layout, rfftn, sobolev_norm)
 from .thermo import FluidParams
 
 __all__ = [
@@ -277,9 +277,10 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
                   r: float = 1.2, hk: int = 2, slack: float = 1e-8) -> SteadyReport:
     """Diagnostic report on a computed steady state (pure checks, no raise).
 
-    The residual and the gradient balance go through the full complex
-    path (`gradient`, `dealias`, `divergence`), independently of the
-    solver; the norms read the real-layout coefficients of ss.f."""
+    Only the residual stays on the full complex path (`gradient`,
+    `dealias`, `divergence`), independently of the solver.  The gradient
+    balance is ||grad (h(rho_s) - phi_s)||_L2 from one real transform, and
+    the other norms read the real-layout coefficients of ss.f."""
     grid = ss.rho_s.grid
     b_min, b_max = float(doping.b.values.min()), float(doping.b.values.max())
     rho_min = float(ss.rho_s.values.min())
@@ -289,14 +290,12 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
     w2r = w2r_norm(ss.f, r)
     lr = lp_norm(Field(grid, doping.b.values - doping.b_bar), r)
 
-    def l2(v):
-        return float(np.sqrt(np.sum(v ** 2) * grid.cell_volume))
-
     hp = np.asarray(params.law.h_prime(ss.rho_s.values))
-    res_l2 = l2(divergence(dealias(Field(grid, hp * gradient(ss.rho_s).values))).values
-                - (ss.rho_s.values - doping.b.values))
+    res = (divergence(dealias(Field(grid, hp * gradient(ss.rho_s).values))).values
+           - (ss.rho_s.values - doping.b.values))
+    res_l2 = float(np.sqrt(np.sum(res ** 2) * grid.cell_volume))
     h_vals = np.asarray(params.law.h(ss.rho_s.values))
-    bal_l2 = l2((gradient(Field(grid, h_vals)) - gradient(ss.phi_s)).values)
+    bal_l2 = grad_norm(Field(grid, h_vals - ss.phi_s.values), 1.0)
     return SteadyReport(
         bounds_ok=bounds_ok,
         rho_min=rho_min, rho_max=rho_max, b_min=b_min, b_max=b_max,

@@ -7,7 +7,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 
 from .spectral import Field
 
@@ -33,6 +32,7 @@ class PressureLaw:
 
     # h(z) = int_1^z p'(s)/s ds; default is adaptive quadrature per point.
     def h(self, z):
+        from scipy.integrate import quad      # only tabulated laws need it
         z = np.asarray(z, dtype=float)
         flat = z.ravel()
         out = np.array([quad(lambda s: self.dp(s) / s, 1.0, zi)[0] for zi in flat])

@@ -122,6 +122,20 @@ class TestRightHandSide:
         ratio = np.max(np.abs(n2(1e-3))) / np.max(np.abs(n2(5e-4)))
         assert ratio == pytest.approx(4.0, rel=0.01)
 
+    def test_nonlinear_terms_results_not_overwritten(self, bumpy_ss):
+        # the Background's work arrays are reused by every call, but no
+        # returned array is one of them
+        bg = Background(bumpy_ss, PARAMS)
+        first = random_smooth_state(GRID, seed=10, amplitude=1e-2)
+        n1, n2 = nonlinear_terms(first.rho.values, first.u.values,
+                                 *first.coefficients(), bg)
+        kept = n1.copy(), n2.copy()
+        second = random_smooth_state(GRID, seed=11, amplitude=3e-2)
+        nonlinear_terms(second.rho.values, second.u.values,
+                        *second.coefficients(), bg)
+        np.testing.assert_array_equal(n1, kept[0])
+        np.testing.assert_array_equal(n2, kept[1])
+
     def test_rejects_unknown_form(self, flat_ss):
         s = zero_state(GRID)
         with pytest.raises(ValueError):
@@ -217,6 +231,51 @@ class TestIntegrator:
         assert "numpy.fft" not in first and "numpy.fft" not in calls
         assert first["scipy.fft"] <= 20
         assert calls["scipy.fft"] < first["scipy.fft"]
+
+    def test_step_allocation_budget(self):
+        # after two warm-up steps a 16^3 step allocates at most 32 real-field
+        # sizes at its peak, the state it returns included: the transforms'
+        # inputs and the products live in the Background's work arrays
+        import tracemalloc
+        grid = Grid(dim=3, n=16)
+        ss = solve_steady(PARAMS, cosine_doping(grid, amplitude=0.05))
+        stepper = Integrator(ss, PARAMS, 0.05)
+        s = random_smooth_state(grid, seed=1, amplitude=1e-2)
+        for _ in range(2):
+            s = stepper.step(s)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            stepper.step(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / (grid.npoints * 8) < 32
+
+    def test_workspaces_isolated(self, bumpy_ss, flat_ss):
+        # two Integrators on one grid (different dt and steady states),
+        # stepped in turn, each give the bits they give alone
+        s0 = random_smooth_state(GRID, seed=8, amplitude=1e-2)
+
+        def make():
+            return (Integrator(bumpy_ss, PARAMS, 0.05),
+                    Integrator(flat_ss, PARAMS, 0.03))
+
+        alone = []
+        for stepper in make():
+            s = s0
+            for _ in range(4):
+                s = stepper.step(s)
+            alone.append(s)
+        a, b = make()
+        sa = sb = s0
+        for _ in range(4):
+            sa = a.step(sa)
+            sb = b.step(sb)
+        for got, want in zip((sa, sb), alone):
+            np.testing.assert_array_equal(got.rho.values, want.rho.values)
+            np.testing.assert_array_equal(got.u.values, want.u.values)
 
     def test_rejects_bad_dt(self, flat_ss):
         with pytest.raises(ValueError):

@@ -128,6 +128,14 @@ class TestRealLayout:
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
+    def test_nyquist_planes_hold_k_nyquist(self, grid):
+        lay = real_layout(grid)
+        for a, plane in enumerate(lay.nyquist):
+            on_plane = np.zeros(lay.kmag.shape, dtype=bool)
+            on_plane[plane] = True
+            np.testing.assert_array_equal(lay.k_nyquist[a] != 0, on_plane)
+
     @pytest.mark.parametrize("grid", [GRID2, GRID3])
     def test_grad_div_matches_complex(self, grid):
         # the even product k_a k_b keeps its Nyquist entries

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,3 +135,13 @@ class TestRemainder:
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ValueError, match="total density"):
             remainder(GammaLaw(1.4), const_field(-2.0), const_field(1.0))
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is imported by PressureLaw.h, on first use only
+    import nsplab
+    src = str(Path(nsplab.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nsplab; "
+            "assert nsplab.__file__.startswith(sys.argv[1]); "
+            "assert 'scipy.integrate' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code, src], check=True)
