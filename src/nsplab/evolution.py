@@ -156,7 +156,7 @@ class Background:
     """What the constant-coefficient form needs of the steady state and the
     fluid, evaluated once: rho_s - rho_bar, h'(rho_s) - h'(rho_bar),
     h'(rho_bar) and the real-layout symbols.  It also owns the work arrays
-    `nonlinear_terms` overwrites on every call, sized from the grid once."""
+    the Lawson step overwrites, sized once; its inverses run in place there."""
 
     def __init__(self, ss: SteadyState, params: FluidParams):
         self.params = params
@@ -169,7 +169,8 @@ class Background:
         self.carried = ss.rho_s.values - params.rho_bar
         self.hp_jump = np.asarray(params.law.h_prime(ss.rho_s.values)) - self.hp_bar
         dim, half = grid.dim, lay.kmag.shape
-        self.hat = np.empty((dim * dim + dim,) + half, dtype=complex)
+        self.hat = np.empty((dim * dim + dim + 1,) + half, dtype=complex)
+        self.state_hat = np.empty((1 + dim,) + half, dtype=complex)
         self.prod = np.empty((2 * dim + 1,) + grid.shape)
         self.work = np.empty((1 + dim,) + grid.shape)      # scalar, vector
         self.work_hat = np.empty(half, dtype=complex)
@@ -250,11 +251,12 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     the mode symbols.
 
     rho, u are one stage's physical samples and rho_hat, u_hat their
-    `rfftn` coefficients.  grad u and the viscous term come back from one
-    inverse transform; the quadratic products go forward in one transform,
-    summed where they share a symbol, and are dealiased by the 2/3 mask.
-    The transforms' inputs are built in bg's work arrays; N1 and N2 are
-    built in place in the forward transform's fresh output.
+    `rfftn` coefficients.  grad u, the viscous term and the dealiased
+    1/(rho_s + rho) - 1/rho_bar come back in one inverse transform, in
+    place in bg.hat; the quadratic products go forward in one, summed where
+    they share a symbol, and are dealiased by the 2/3 mask.  With
+    `Integrator._state`, a step makes 8 transforms, 4 of them inverse.
+    N1 and N2 are built in place in the forward transform's fresh output.
     """
     grid, lay, params = bg.grid, bg.layout, bg.params
     dim = grid.dim
@@ -262,19 +264,17 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     s, vec = bg.work[0], bg.work[1:]
     np.multiply(u_hat[:, None], lay.ik[None, :],
                 out=hat[:dim * dim].reshape((dim, dim) + rho_hat.shape))
-    _viscous_hat(u_hat, bg, hat[dim * dim:])
-    phys = irfftn(grid, hat)
-    grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
-    visc = phys[dim * dim:]
-
-    R = remainder(params.law, Field(grid, rho), bg.rho_s).values
-    # 1/(rho_s + rho) - 1/rho_bar multiplies visc pointwise, so it is
-    # dealiased on its own first
+    _viscous_hat(u_hat, bg, hat[dim * dim:-1])
+    # 1/(rho_s + rho) - 1/rho_bar multiplies visc, so it is dealiased first
     np.add(rho, bg.rho_s.values, out=s)
     np.divide(1.0, s, out=s)
     s -= 1.0 / params.rho_bar
-    inv_jump = dealias(Field(grid, s)).values
+    np.multiply(rfftn(grid, s), lay.mask, out=hat[-1])
+    phys = irfftn(grid, hat, overwrite=True)
+    grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
+    visc, inv_jump = phys[dim * dim:-1], phys[-1]
 
+    R = remainder(params.law, Field(grid, rho), bg.rho_s).values
     # [(rho + rho_s - rho_bar) u, inv_jump visc - u . grad u,
     #  R + (h'(rho_s) - h'(rho_bar)) rho]
     flux, mom, scal = prod[:dim], prod[dim:2 * dim], prod[2 * dim]
@@ -285,7 +285,7 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
         mom[a] -= np.sum(np.multiply(u, grad_u[a], out=vec), axis=0, out=s)
     np.multiply(bg.hp_jump, rho, out=scal)
     scal += R
-    del phys, grad_u, visc               # free before the forward transform
+    del phys, grad_u, visc, inv_jump     # free before the forward transform
     c = rfftn(grid, prod)
 
     # N2 = mask c_mom - ik_mask c_scal, then N1 = -ik_mask . c_flux over c_scal
@@ -357,10 +357,13 @@ class Integrator:
         return rho_new, u_new
 
     def _state(self, rho_hat, u_hat, t):
-        grid = self.grid
+        # one in-place inverse of a copy; the state keeps rho_hat, u_hat
+        grid, work = self.grid, self.bg.state_hat
+        np.concatenate((rho_hat[None], u_hat), out=work)
+        values = irfftn(grid, work, overwrite=True)
         return PerturbationState(
-            rho=Field(grid, irfftn(grid, rho_hat), _coeffs=rho_hat),
-            u=Field(grid, irfftn(grid, u_hat), _coeffs=u_hat), t=t)
+            rho=Field(grid, values[0], _coeffs=rho_hat),
+            u=Field(grid, values[1:], _coeffs=u_hat), t=t)
 
     def linear_step(self, state: PerturbationState) -> PerturbationState:
         """The exact linear flow over dt, without the nonlinear terms."""

@@ -44,7 +44,6 @@ __all__ = [
     "coeff_norm",
     "gn_interpolation_check",
     "dealias",
-    "dealias_product",
 ]
 
 
@@ -264,10 +263,19 @@ def rfftn(grid: Grid, values: np.ndarray) -> np.ndarray:
                            norm="forward")
 
 
-def irfftn(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Real samples from real-layout coefficients (inverse of `rfftn`)."""
-    return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
-                            norm="forward")
+def irfftn(grid: Grid, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Real samples from real-layout coefficients (inverse of `rfftn`).
+    With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, not
+    in the hidden copy scipy's `irfftn` makes, and a last-axis `irfft`
+    follows: the same passes, so the same bits.  States and the steady
+    solver (whose FFT budget pins one call per transform) keep the default."""
+    if not overwrite:
+        return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
+                                norm="forward")
+    if grid.dim > 1:
+        coeffs = scipy.fft.ifftn(coeffs, axes=_axes(grid)[:-1],
+                                 norm="forward", overwrite_x=True)
+    return scipy.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward")
 
 
 def _require_mean_zero(f, what):
@@ -440,8 +448,3 @@ def dealias(f: Field) -> Field:
     """Truncate a field to the 2/3-rule ball."""
     grid = f.grid
     return Field(grid, irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask))
-
-
-def dealias_product(a: Field, b: Field) -> Field:
-    """Pointwise product of scalar fields, truncated by the 2/3 rule."""
-    return dealias(Field(a.grid, a.values * b.values))

@@ -16,7 +16,6 @@ __all__ = [
     "TabulatedLaw",
     "FluidParams",
     "enthalpy",
-    "enthalpy_prime",
     "remainder",
 ]
 
@@ -137,11 +136,6 @@ def _check_positive(z, what="density"):
 def enthalpy(law: PressureLaw, z):
     z = _check_positive(z)
     return law.h(z)
-
-
-def enthalpy_prime(law: PressureLaw, z):
-    z = _check_positive(z)
-    return law.h_prime(z)
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)

@@ -207,8 +207,9 @@ class TestIntegrator:
         assert got.t == dt
 
     def test_step_fft_budget(self, monkeypatch):
-        # a 16^3 step: at most 20 scipy.fft calls, none from numpy.fft, and
-        # no forward transform of a state the stepper produced itself
+        # a 16^3 step: at most 20 scipy.fft calls, none from numpy.fft, no
+        # forward transform of a state the stepper produced itself, and
+        # 4 inverse transforms: one batch per stage, one per state it makes
         import numpy.fft
         import scipy.fft
         grid = Grid(dim=3, n=16)
@@ -222,6 +223,8 @@ class TestIntegrator:
                 def counted(*args, _fn=getattr(mod, name), _key=mod.__name__,
                             **kwargs):
                     calls[_key] = calls.get(_key, 0) + 1
+                    if _fn.__name__ in ("irfft", "irfftn"):
+                        calls["inverse"] = calls.get("inverse", 0) + 1
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
         s = stepper.step(s)
@@ -231,6 +234,24 @@ class TestIntegrator:
         assert "numpy.fft" not in first and "numpy.fft" not in calls
         assert first["scipy.fft"] <= 20
         assert calls["scipy.fft"] < first["scipy.fft"]
+        assert first["inverse"] == calls["inverse"] == 4
+
+    def test_step_keeps_coefficients(self, bumpy_ss):
+        # the in-place inverse transforms leave every state's coefficients
+        # as they were, and a state's samples are its coefficients' inverse
+        stepper = Integrator(bumpy_ss, PARAMS, 0.05)
+        s0 = with_nyquist(random_smooth_state(GRID, seed=12, amplitude=1e-2), 1e-4)
+        kept0 = [c.copy() for c in s0.coefficients()]
+        s1 = stepper.step(s0)
+        kept1 = [c.copy() for c in s1.coefficients()]
+        s2 = stepper.step(s1)
+        for state, kept in ((s0, kept0), (s1, kept1)):
+            for c, k in zip(state.coefficients(), kept):
+                np.testing.assert_array_equal(c, k)
+        for state in (s1, s2):
+            rho_hat, u_hat = state.coefficients()
+            np.testing.assert_array_equal(state.rho.values, irfftn(GRID, rho_hat))
+            np.testing.assert_array_equal(state.u.values, irfftn(GRID, u_hat))
 
     def test_step_allocation_budget(self):
         # after two warm-up steps a 16^3 step allocates at most 32 real-field

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nsplab.spectral import Field, Grid
 from nsplab.thermo import (FluidParams, GammaLaw, TabulatedLaw, enthalpy,
-                           enthalpy_prime, remainder)
+                           remainder)
 
 GRID = Grid(dim=2, n=8)
 
@@ -66,8 +66,6 @@ class TestFluidParams:
     def test_positivity_guard(self):
         with pytest.raises(ValueError, match="nonpositive"):
             enthalpy(GammaLaw(2.0), np.array([1.0, -0.5]))
-        with pytest.raises(ValueError, match="nonpositive"):
-            enthalpy_prime(GammaLaw(2.0), 0.0)
 
 
 class TestRemainder:
