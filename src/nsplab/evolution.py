@@ -251,11 +251,11 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     the mode symbols.
 
     rho, u are one stage's physical samples and rho_hat, u_hat their
-    `rfftn` coefficients.  grad u, the viscous term and the dealiased
-    1/(rho_s + rho) - 1/rho_bar come back in one inverse transform, in
-    place in bg.hat; the quadratic products go forward in one, summed where
-    they share a symbol, and are dealiased by the 2/3 mask.  With
-    `Integrator._state`, a step makes 8 transforms, 4 of them inverse.
+    `rfftn` coefficients.  grad u, the viscous term and 1/(rho_s + rho) -
+    1/rho_bar, masked into bg.hat by `dealias`, come back in one in-place
+    inverse transform there; the quadratic products go forward in one,
+    summed where they share a symbol, and are dealiased by the 2/3 mask.
+    A step makes 8 transforms, 4 of them inverse (with `Integrator._state`).
     N1 and N2 are built in place in the forward transform's fresh output.
     """
     grid, lay, params = bg.grid, bg.layout, bg.params
@@ -269,7 +269,7 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     np.add(rho, bg.rho_s.values, out=s)
     np.divide(1.0, s, out=s)
     s -= 1.0 / params.rho_bar
-    np.multiply(rfftn(grid, s), lay.mask, out=hat[-1])
+    dealias(Field(grid, s), out=hat[-1])
     phys = irfftn(grid, hat, overwrite=True)
     grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
     visc, inv_jump = phys[dim * dim:-1], phys[-1]

@@ -265,16 +265,15 @@ def rfftn(grid: Grid, values: np.ndarray) -> np.ndarray:
 
 def irfftn(grid: Grid, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Real samples from real-layout coefficients (inverse of `rfftn`).
-    With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, not
-    in the hidden copy scipy's `irfftn` makes, and a last-axis `irfft`
-    follows: the same passes, so the same bits.  States and the steady
-    solver (whose FFT budget pins one call per transform) keep the default."""
+    With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, then
+    a last-axis `irfft`: scipy's passes without its hidden copy, same bits.
+    The Lawson step inverts work arrays so (states from a copy, keeping their
+    coefficients); the steady solver, pinned at one call each, does not."""
     if not overwrite:
         return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
                                 norm="forward")
-    if grid.dim > 1:
-        coeffs = scipy.fft.ifftn(coeffs, axes=_axes(grid)[:-1],
-                                 norm="forward", overwrite_x=True)
+    coeffs = scipy.fft.ifftn(coeffs, axes=_axes(grid)[:-1],  # none in 1-D
+                             norm="forward", overwrite_x=True)
     return scipy.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward")
 
 
@@ -444,7 +443,8 @@ def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,
     return ratio <= 1.0 + 1e-12, float(ratio)
 
 
-def dealias(f: Field) -> Field:
-    """Truncate a field to the 2/3-rule ball."""
-    grid = f.grid
-    return Field(grid, irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask))
+def dealias(f: Field, out: np.ndarray | None = None):
+    """Truncate a field to the 2/3-rule ball.  With ``out`` (real layout) the
+    masked coefficients are written there and returned, not inverted."""
+    c = np.multiply(rfftn(f.grid, f.values), real_layout(f.grid).mask, out=out)
+    return c if out is not None else Field(f.grid, irfftn(f.grid, c))
