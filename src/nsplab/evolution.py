@@ -2,10 +2,10 @@
 state, with energy functionals and bootstrap quantities as online
 diagnostics.
 
-Two algebraically equivalent right-hand sides are provided: the
-variable-coefficient form (coefficients frozen at rho_s) and the
-constant-coefficient form whose linear part matches the Hodge-split mode
-symbols; the latter drives the exponential (Lawson midpoint) integrator.
+The exponential (Lawson midpoint) integrator splits the right-hand side
+into a constant-coefficient linear part matching the Hodge-split mode
+symbols and `nonlinear_terms`; `rhs_nonlinear` assembles the whole
+right-hand side with its coefficients at rho_s, as an independent oracle.
 """
 
 from __future__ import annotations
@@ -199,33 +199,20 @@ def _viscous_hat(u_hat, bg: Background, out):
 
 
 def rhs_nonlinear(state: PerturbationState, ss: SteadyState,
-                  params: FluidParams, form: str = "constant"):
+                  params: FluidParams):
     """Time derivative (d rho / dt, d u / dt) of the perturbation system.
 
-    form="variable" keeps the coefficients at rho_s and is assembled on
-    the full complex layout, independently of the integrator; it is the
-    oracle for form="constant", which freezes the coefficients at rho_bar:
-    the linear part matching the mode symbols plus `nonlinear_terms`.
-    Both use dealiased products.  They agree up to roundoff inside the 2/3
-    ball only: form="variable" also dealiases its linear terms, which
-    form="constant" keeps whole.
+    The coefficients are kept at rho_s and the terms assembled on the full
+    complex layout with dealiased products, independently of the
+    integrator: it is the oracle for `nonlinear_terms` plus the linear part
+    matching the mode symbols, which freeze the coefficients at rho_bar.
+    The two agree up to roundoff inside the 2/3 ball only, since this form
+    also dealiases its linear terms.
     """
-    if form not in ("variable", "constant"):
-        raise ValueError("form must be 'variable' or 'constant'")
     state.check(ss)
     grid = state.grid
     visc = _viscous(params, state.u)
     grad_phi = state.grad_potential()
-    if form == "constant":
-        bg = Background(ss, params)
-        n1, n2 = nonlinear_terms(state.rho.values, state.u.values,
-                                 *state.coefficients(), bg)
-        drho = -params.rho_bar * divergence(state.u).values + irfftn(grid, n1)
-        du = (-bg.hp_bar * gradient(state.rho).values
-              + visc.values / params.rho_bar + grad_phi.values
-              + irfftn(grid, n2))
-        return Field(grid, drho), Field(grid, du)
-
     law = params.law
     rho_s = ss.rho_s
     total = state.rho.values + rho_s.values

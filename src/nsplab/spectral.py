@@ -267,8 +267,9 @@ def irfftn(grid: Grid, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarra
     """Real samples from real-layout coefficients (inverse of `rfftn`).
     With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, then
     a last-axis `irfft`: scipy's passes without its hidden copy, same bits.
-    The Lawson step inverts work arrays so (states from a copy, keeping their
-    coefficients); the steady solver, pinned at one call each, does not."""
+    The Lawson step's work arrays (states from a copy) and the temporaries
+    of `dealias`, `w2r_norm` and the steady operator's ik f_hat are inverted
+    so; the steady iterate, kept as `SteadyState.f`'s coefficients, is not."""
     if not overwrite:
         return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
                                 norm="forward")
@@ -445,6 +446,8 @@ def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,
 
 def dealias(f: Field, out: np.ndarray | None = None):
     """Truncate a field to the 2/3-rule ball.  With ``out`` (real layout) the
-    masked coefficients are written there and returned, not inverted."""
+    masked coefficients are written there and returned, not inverted;
+    without, they are a temporary and are inverted in place."""
     c = np.multiply(rfftn(f.grid, f.values), real_layout(f.grid).mask, out=out)
-    return c if out is not None else Field(f.grid, irfftn(f.grid, c))
+    return c if out is not None else Field(f.grid,
+                                           irfftn(f.grid, c, overwrite=True))

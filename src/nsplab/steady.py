@@ -128,8 +128,9 @@ class _Elliptic:
     """The steady equation on the real-layout coefficients f_hat of f.
 
     `flux_div` gives D = div dealias(h'(rho_s) grad f) as
-    mask (ik . rfftn(h'(rho_bar + f) irfftn(ik f_hat))), and `defect` turns
-    it into the residual.  The next Picard iterate is
+    mask (ik . rfftn(h'(rho_s) irfftn(ik f_hat))), with ik f_hat formed in
+    the work array `ik_f` and inverted in place there; `defect` turns D
+    into the residual.  The next Picard iterate is
     sym (D + shift f_hat + (b - b_bar)^), with sym the symbol of
     (-h'(rho_bar) Lap + 1)^{-1}, since div dealias(h'(rho_bar) grad f) =
     -shift f_hat exactly (ik is zero at Nyquist entries, which lie outside
@@ -145,16 +146,20 @@ class _Elliptic:
         self.shift = hp_bar * self.lay.mask * k2
         self.b_dev = rfftn(self.grid, doping.b.values - doping.b_bar)
         self.mean_gap = doping.b_bar - params.rho_bar
+        self.ik_f = np.empty_like(self.lay.ik)
 
-    def flux_div(self, f_hat, f_vals):
-        flux = irfftn(self.grid, self.lay.ik * f_hat)
-        flux *= self.params.law.h_prime(self.params.rho_bar + f_vals)
+    def flux_div(self, f_hat, rho_vals, out=None):
+        ik_f = np.multiply(self.lay.ik, f_hat, out=self.ik_f)
+        flux = irfftn(self.grid, ik_f, overwrite=True)
+        flux *= self.params.law.h_prime(rho_vals)
         c = rfftn(self.grid, flux)
-        return self.lay.mask * np.sum(self.lay.ik * c, axis=0)
+        D = np.sum(np.multiply(self.lay.ik, c, out=c), axis=0, out=out)
+        return np.multiply(self.lay.mask, D, out=D)
 
-    def defect(self, D, f_hat):
+    def defect(self, D, f_hat, out=None):
         """Coefficients of D - (rho_s - b)."""
-        r = D - f_hat + self.b_dev
+        r = np.subtract(D, f_hat, out=out)
+        r += self.b_dev
         r[(0,) * self.grid.dim] += self.mean_gap
         return r
 
@@ -182,32 +187,36 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     b_lo, b_hi = float(doping.b.values.min()), float(doping.b.values.max())
     margin = 0.1 * (b_hi - b_lo)
 
-    f_hat, D = np.zeros_like(op.b_dev), 0.0    # f = 0 and its operator
+    # f = 0, its operator D, and two work arrays reused by every sweep
+    f_hat, D, spare, work = (np.zeros_like(op.b_dev) for _ in range(4))
     omega = relaxation
     history = []
     prev_res = np.inf
     for it in range(1, max_iter + 1):
-        target = op.sym * (D + op.shift * f_hat + op.b_dev)
+        target = np.add(D, np.multiply(op.shift, f_hat, out=work), out=work)
+        target += op.b_dev
+        np.multiply(op.sym, target, out=target)
         if newton:
             target = _newton_correct(op, target)
-        f_new = (1.0 - omega) * f_hat + omega * target
-        f_vals = irfftn(grid, f_new)
+        f_new = np.multiply(1.0 - omega, f_hat, out=spare)
+        f_new += np.multiply(omega, target, out=target)
+        f_vals = irfftn(grid, f_new)          # f_new is kept: no overwrite
         rho_vals = rho_bar + f_vals
-        if np.any(rho_vals <= 0):
+        lo, hi = rho_vals.min(), rho_vals.max()
+        if lo <= 0:
             raise SteadySolveError("total density left (0, inf) during iteration",
                                    history)
-        if (rho_vals.min() < b_lo - margin - 1e-14
-                or rho_vals.max() > b_hi + margin + 1e-14):
+        if lo < b_lo - margin - 1e-14 or hi > b_hi + margin + 1e-14:
             raise SteadySolveError(
                 "iterate left the admissible doping range "
                 f"[{b_lo - margin:.6g}, {b_hi + margin:.6g}]", history)
-        D = op.flux_div(f_new, f_vals)
-        res = coeff_norm(grid, op.defect(D, f_new))
+        op.flux_div(f_new, rho_vals, out=D)
+        res = coeff_norm(grid, op.defect(D, f_new, out=work))
         history.append(res)
         if res > prev_res and omega > 0.0625:
             omega *= 0.5           # automatic damping on residual increase
-        update = coeff_norm(grid, f_new - f_hat, 2)
-        f_hat = f_new
+        update = coeff_norm(grid, np.subtract(f_new, f_hat, out=work), 2)
+        spare, f_hat = f_hat, f_new
         prev_res = res
         if update < tol or res < tol:
             break
@@ -216,7 +225,7 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
             f"no convergence within {max_iter} iterations "
             f"(last residual {history[-1]:.3e})", history)
 
-    rho_s = Field(grid, rho_bar + f_vals)
+    rho_s = Field(grid, rho_vals)
     h_vals = np.asarray(params.law.h(rho_s.values))
     phi_s = Field(grid, h_vals - h_vals.mean())
     return SteadyState(rho_s=rho_s, phi_s=phi_s,
@@ -231,10 +240,10 @@ def _newton_correct(op, picard_target, inner=4):
     as preconditioner)."""
     g = picard_target
     for _ in range(inner):
-        g_vals = irfftn(op.grid, g)
-        if np.any(op.params.rho_bar + g_vals <= 0):
+        rho_vals = op.params.rho_bar + irfftn(op.grid, g)
+        if np.any(rho_vals <= 0):
             return picard_target
-        g = g + op.sym * op.defect(op.flux_div(g, g_vals), g)
+        g = g + op.sym * op.defect(op.flux_div(g, rho_vals), g)
     return g
 
 
@@ -258,7 +267,7 @@ def w2r_norm(f: Field, r: float) -> float:
     """Discrete W^{2,r}: grid L^r quadrature of the function, its multiplier
     gradient, and its multiplier Hessian (Frobenius magnitude), the last two
     from one batched inverse transform of ik_a f_hat and the distinct
-    ik_a ik_b f_hat."""
+    ik_a ik_b f_hat, inverted in place in that temporary batch."""
     grid = f.grid
     dim, ik = grid.dim, real_layout(grid).ik
     pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
@@ -266,7 +275,7 @@ def w2r_norm(f: Field, r: float) -> float:
     np.multiply(ik, f.coefficients(), out=hat[:dim])
     for i, (a, b) in enumerate(pairs):
         np.multiply(ik[b], hat[a], out=hat[dim + i])
-    phys = irfftn(grid, hat)
+    phys = irfftn(grid, hat, overwrite=True)
     hess_sq = sum((1.0 if a == b else 2.0) * phys[dim + i] ** 2
                   for i, (a, b) in enumerate(pairs))
     return (lp_norm(f, r) ** r + lp_norm(Field(grid, phys[:dim]), r) ** r

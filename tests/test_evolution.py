@@ -76,17 +76,6 @@ class TestStates:
 
 
 class TestRightHandSide:
-    def test_forms_agree(self, bumpy_ss):
-        # the variable- and frozen-coefficient assemblies are algebraically
-        # identical; with dealiased products they agree to roundoff
-        s = random_smooth_state(GRID, seed=7, amplitude=1e-3)
-        dr_v, du_v = rhs_nonlinear(s, bumpy_ss, PARAMS, form="variable")
-        dr_c, du_c = rhs_nonlinear(s, bumpy_ss, PARAMS, form="constant")
-        scale = max(np.max(np.abs(du_v.values)), 1e-30)
-        np.testing.assert_allclose(dr_v.values, dr_c.values, atol=1e-13)
-        np.testing.assert_allclose(du_v.values, du_c.values,
-                                   atol=1e-12 * scale)
-
     def test_nonlinear_terms_match_variable_form(self):
         # N = (variable-coefficient right-hand side) - (linear part), with
         # R and the pressure jump nonzero (gamma 1.4, non-flat doping) and
@@ -97,7 +86,7 @@ class TestRightHandSide:
         ss = solve_steady(params, doping)
         s = with_nyquist(random_smooth_state(GRID, seed=12, amplitude=2e-2),
                          1e-3)
-        dr_v, du_v = rhs_nonlinear(s, ss, params, form="variable")
+        dr_v, du_v = rhs_nonlinear(s, ss, params)
         lin_rho = -params.rho_bar * divergence(s.u).values
         lin_u = (-params.h_prime_bar * gradient(s.rho).values
                  + _viscous(params, s.u).values / params.rho_bar
@@ -135,11 +124,6 @@ class TestRightHandSide:
                         *second.coefficients(), bg)
         np.testing.assert_array_equal(n1, kept[0])
         np.testing.assert_array_equal(n2, kept[1])
-
-    def test_rejects_unknown_form(self, flat_ss):
-        s = zero_state(GRID)
-        with pytest.raises(ValueError):
-            rhs_nonlinear(s, flat_ss, PARAMS, form="mixed")
 
 
 class TestIntegrator:

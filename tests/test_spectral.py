@@ -6,7 +6,8 @@ from nsplab.spectral import (Field, Grid, MeanZeroError, dealias, divergence,
                              frac_derivative, gn_interpolation_check,
                              grad_norm, gradient, inverse_laplacian,
                              inverse_transform, irfftn, laplacian, lp_norm,
-                             poisson_gradient, real_layout, sobolev_norm)
+                             poisson_gradient, real_layout, rfftn,
+                             sobolev_norm)
 
 
 def random_field(grid, seed, mean_zero=True):
@@ -216,6 +217,19 @@ class TestDealias:
         spec = prod.spectrum()
         assert abs(spec[6]) < 1e-14
         assert abs(spec[0] - 0.5) < 1e-14
+
+    @pytest.mark.parametrize("grid", [Grid(dim=1, n=16), GRID2, GRID3],
+                             ids=lambda g: f"{g.dim}d")
+    def test_keeps_input_and_matches_masked_inverse(self, grid):
+        # the masked coefficients are inverted in place; f and its cached
+        # coefficients stay as they were
+        f = random_field(grid, 40 + grid.dim)
+        values, coeffs = f.values.copy(), f.coefficients().copy()
+        got = dealias(f).values
+        np.testing.assert_array_equal(f.values, values)
+        np.testing.assert_array_equal(f.coefficients(), coeffs)
+        want = irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask)
+        np.testing.assert_array_equal(got, want)
 
     def test_low_modes_untouched(self):
         g = Grid(dim=1, n=16)

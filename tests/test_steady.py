@@ -118,25 +118,42 @@ class TestSolveSteady:
     def test_fft_budget(self, monkeypatch):
         # each sweep is one elliptic evaluation on the real layout: at most
         # 4 scipy.fft calls per iteration plus 1, none from numpy.fft and no
-        # full complex transform
+        # full complex transform (the only ifftn is the leading-axes pass of
+        # an in-place irfftn)
         import numpy.fft
         import scipy.fft
         grid = Grid(dim=3, n=16)
         d = cosine_doping(grid, amplitude=0.05)
-        calls = {}
+        calls, ifftn_axes = {}, []
         for mod in (numpy.fft, scipy.fft):
             for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn",
                          "rfftn", "irfftn", "fft2", "ifft2", "rfft2", "irfft2"):
                 def counted(*args, _fn=getattr(mod, name),
                             _key=f"{mod.__name__}.{name}", **kwargs):
                     calls[_key] = calls.get(_key, 0) + 1
+                    if _key == "scipy.fft.ifftn":
+                        ifftn_axes.append(tuple(kwargs.get("axes", ())))
                     return _fn(*args, **kwargs)
                 monkeypatch.setattr(mod, name, counted)
         ss = solve_steady(params_for(d, gamma=1.4), d)
         assert ss.iterations > 1
         assert not any(key.startswith("numpy.fft") for key in calls)
-        assert "scipy.fft.fftn" not in calls and "scipy.fft.ifftn" not in calls
+        assert "scipy.fft.fftn" not in calls
+        assert ifftn_axes and set(ifftn_axes) == {(-3, -2)}
         assert sum(calls.values()) <= 4 * ss.iterations + 1
+
+    def test_keeps_its_inputs(self):
+        # temporaries are inverted in place; the iterate, which becomes
+        # ss.f's coefficients, is not, and verify_steady leaves them alone
+        grid = Grid(dim=3, n=32)
+        d = gaussian_bump_doping(grid, amplitude=0.3)
+        p = params_for(d, gamma=1.4)
+        ss = solve_steady(p, d)
+        kept = ss.f.coefficients().copy()
+        verify_steady(p, ss, d)
+        np.testing.assert_array_equal(ss.f.coefficients(), kept)
+        np.testing.assert_array_equal(ss.f.values,
+                                      irfftn(grid, ss.f.coefficients()))
 
     def test_linear_response_scaling(self):
         # halving the doping amplitude halves the density deviation
@@ -154,9 +171,10 @@ class TestEllipticOperator:
         d = gaussian_bump_doping(grid, amplitude=0.1)
         p = params_for(d, gamma=1.4)
         f = white_noise(grid, seed=grid.dim, scale=1e-2)
-        hp = p.law.h_prime(p.rho_bar + f.values)
-        want = divergence(dealias(Field(grid, hp * gradient(f).values))).values
-        got = irfftn(grid, _Elliptic(p, d).flux_div(f.coefficients(), f.values))
+        rho = p.rho_bar + f.values
+        want = divergence(dealias(Field(grid, p.law.h_prime(rho)
+                                        * gradient(f).values))).values
+        got = irfftn(grid, _Elliptic(p, d).flux_div(f.coefficients(), rho))
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
