@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``steady``, ``linear-decay``, ``evolve``, ``fit``, ``run``,
-``verify``.  All numeric output uses 17-significant-digit rendering so the
-values round-trip exactly.
+``verify``.  ``steady`` and ``evolve`` translate their flags into an
+`ExperimentConfig` and run the same pipeline as ``run``.  All numeric output
+uses 17-significant-digit rendering so the values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -10,95 +11,88 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from .arrayio import write_field
 from .config import ExperimentConfig
-from .evolution import DiagnosticsConfig, evolve
-from .pipeline import (run_decay_query, run_pipeline, write_csv,
-                       write_energy_csv)
+from .pipeline import run_decay_query, run_pipeline, write_csv
 from .semigroup import LinearDecayQuery, fit_exponent
-from .spectral import Grid
-from .steady import doping_from_name, solve_steady, verify_steady
-from .thermo import FluidParams, GammaLaw
 
 __all__ = ["main"]
 
 
-def _add_grid_args(p):
-    p.add_argument("--dim", type=int, default=3)
+def _add_steady_args(p):
+    """Grid, fluid and doping flags, shared by steady and evolve."""
+    p.add_argument("--dim", type=int)
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--length", type=float, default=2.0 * np.pi)
-
-
-def _add_fluid_args(p):
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--mu-prime", type=float, default=0.0)
-
-
-def _add_doping_args(p):
+    p.add_argument("--length", type=float)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--mu-prime", type=float)
     p.add_argument("--doping", default="gaussian-bump",
                    choices=["flat", "gaussian-bump", "cosine"])
-    p.add_argument("--amplitude", type=float, default=0.1)
-    p.add_argument("--center", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--mode", type=int, default=1)
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--center", type=float)
+    p.add_argument("--sigma", type=float)
+    p.add_argument("--mode", type=int)
 
 
-def _build_doping(args, grid):
-    if args.doping == "flat":
-        return doping_from_name(grid, "flat")
-    if args.doping == "gaussian-bump":
-        kw = {"amplitude": args.amplitude}
-        if args.center is not None:
-            kw["center"] = args.center
-        if args.sigma is not None:
-            kw["sigma"] = args.sigma
-        return doping_from_name(grid, "gaussian-bump", **kw)
-    return doping_from_name(grid, "cosine", amplitude=args.amplitude,
-                            mode=args.mode)
+# argparse dest -> the (section, key) of the ExperimentConfig it sets.  A
+# flag left unset is not written, so the config's defaults apply to it.
+_CONFIG_KEYS = {
+    "dim": ("grid", "dim"), "n": ("grid", "n"), "length": ("grid", "length"),
+    "gamma": ("fluid", "gamma"), "mu": ("fluid", "mu"),
+    "mu_prime": ("fluid", "mu_prime"),
+    "doping": ("doping", "preset"), "amplitude": ("doping", "amplitude"),
+    "center": ("doping", "center"), "sigma": ("doping", "sigma"),
+    "mode": ("doping", "mode"),
+    "tol": ("solver", "tol"), "max_iter": ("solver", "max_iter"),
+    "r": ("solver", "r"),
+    "initial": ("initial", "preset"),
+    "initial_amplitude": ("initial", "amplitude"),
+    "initial_mode": ("initial", "mode"), "seed": ("initial", "seed"),
+    "band": ("initial", "band"),
+    "dt": ("evolve", "dt"), "t_end": ("evolve", "t_end"),
+    "report_every": ("evolve", "report_every"), "k": ("evolve", "k"),
+    "snapshots": ("evolve", "snapshots"),
+    "output": ("output", "directory"),
+}
 
 
-def _build_fluid(args, rho_bar):
-    return FluidParams(law=GammaLaw(args.gamma), mu=args.mu,
-                       mu_prime=args.mu_prime, rho_bar=rho_bar)
+def _config_from_args(args) -> ExperimentConfig:
+    config = ExperimentConfig()
+    for dest, (section, key) in _CONFIG_KEYS.items():
+        if hasattr(args, dest):
+            config.sections.setdefault(section, {})[key] = str(getattr(args, dest))
+    return config
 
 
 def _emit(obj):
     print(json.dumps(obj, indent=2, default=float))
 
 
-def cmd_steady(args):
-    grid = Grid(dim=args.dim, n=args.n, length=args.length)
-    doping = _build_doping(args, grid)
-    params = _build_fluid(args, doping.b_bar)
-    ss = solve_steady(params, doping, tol=args.tol, max_iter=args.max_iter)
-    report = verify_steady(params, ss, doping, r=args.r)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_field(outdir / "rho_s.nspf", ss.rho_s)
-    write_field(outdir / "phi_s.nspf", ss.phi_s)
-    _emit({
-        "doping": doping.descriptor,
-        "rho_bar": ss.rho_bar,
-        "iterations": ss.iterations,
-        "residual_l2": ss.residual_l2,
-        "bounds_ok": report.bounds_ok,
-        "grad_rho_hk": report.grad_rho_hk,
-        "w2r_over_lr": report.ratio_w2r_lr,
-        "files": [str(outdir / "rho_s.nspf"), str(outdir / "phi_s.nspf")],
-    })
-    return 0 if report.bounds_ok else 1
+def _run(config, output_dir=None, stage=None):
+    """Run the pipeline and print its stage summaries, the keys of `stage`
+    at the top level.  Exit code 0 iff every stage that ran passed its
+    check: the steady density bounds and each decay fit."""
+    summary = run_pipeline(config, output_dir=output_dir)
+    stages = summary["stages"]
+    others = {name: body for name, body in stages.items() if name != stage}
+    _emit(stages.get(stage, {}) | others
+          | {"output_dir": summary["output_dir"]})
+    ok = all(entry["passed"] for entry in stages.get("decay", {}).values())
+    ok = ok and stages.get("steady", {}).get("bounds_ok", True)
+    return 0 if ok else 1
+
+
+def cmd_stage(args):
+    return _run(_config_from_args(args), stage=args.command)
 
 
 def cmd_linear_decay(args):
     q = np.inf if args.q in ("inf", "Inf") else float(args.q)
     query = LinearDecayQuery(ell=args.ell, p=args.p, q=q,
-                             component=args.component, parts=args.parts,
-                             profile_name=args.profile)
+                             component=args.component, parts=args.parts)
     times = np.geomspace(args.t_min, args.t_max, args.samples)
     curve, fit, report = run_decay_query(
         query, times, window=(args.t_min, args.t_max),
@@ -115,51 +109,6 @@ def cmd_linear_decay(args):
         "csv": args.output,
     })
     return 0 if report.passed else 1
-
-
-def cmd_evolve(args):
-    grid = Grid(dim=args.dim, n=args.n, length=args.length)
-    doping = _build_doping(args, grid)
-    params = _build_fluid(args, doping.b_bar)
-    ss = solve_steady(params, doping)
-
-    from .evolution import random_smooth_state, single_mode_state
-    if args.initial == "mode":
-        initial = single_mode_state(grid, mode=args.initial_mode,
-                                    amplitude=args.initial_amplitude)
-    else:
-        initial = random_smooth_state(grid, seed=args.seed,
-                                      amplitude=args.initial_amplitude,
-                                      band=args.band)
-
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    snapshots = []
-    last_state = [initial]
-
-    def snapshot(state, rep):
-        last_state[0] = state
-        if args.snapshots:
-            name = f"state_{len(snapshots):04d}"
-            write_field(outdir / f"{name}_rho.nspf", state.rho)
-            write_field(outdir / f"{name}_u.nspf", state.u)
-            snapshots.append(name)
-
-    _, reports = evolve(initial, ss, params, t_end=args.t_end, dt=args.dt,
-                        report_every=args.report_every,
-                        diagnostics=DiagnosticsConfig(k=args.k),
-                        snapshot_cb=snapshot)
-    write_energy_csv(outdir / "energy.csv", reports)
-    write_field(outdir / "final_rho.nspf", last_state[0].rho)
-    write_field(outdir / "final_u.nspf", last_state[0].u)
-    _emit({
-        "t_end": reports[-1].t,
-        "energy_lhs_initial": reports[0].energy_lhs,
-        "energy_lhs_final": reports[-1].energy_lhs,
-        "script_n_final": reports[-1].script_n,
-        "output_dir": str(outdir),
-    })
-    return 0
 
 
 def cmd_fit(args):
@@ -181,12 +130,7 @@ def cmd_fit(args):
 
 
 def cmd_run(args):
-    config = ExperimentConfig.from_file(args.config)
-    summary = run_pipeline(config, output_dir=args.output)
-    _emit(summary["stages"] | {"output_dir": summary["output_dir"]})
-    decays = summary["stages"].get("decay", {})
-    ok = all(entry["passed"] for entry in decays.values()) if decays else True
-    return 0 if ok else 1
+    return _run(ExperimentConfig.from_file(args.config), args.output)
 
 
 def cmd_verify(args):
@@ -202,15 +146,15 @@ def build_parser():
                     "steady solves, linear decay rates, nonlinear evolution.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("steady", help="solve for a steady state")
-    _add_grid_args(p)
-    _add_fluid_args(p)
-    _add_doping_args(p)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--r", type=float, default=1.2)
-    p.add_argument("--output", default="out")
-    p.set_defaults(fn=cmd_steady)
+    # unset flags of steady and evolve stay out of the namespace
+    p = sub.add_parser("steady", help="solve for a steady state",
+                       argument_default=argparse.SUPPRESS)
+    _add_steady_args(p)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--r", type=float)
+    p.add_argument("--output")
+    p.set_defaults(fn=cmd_stage)
 
     p = sub.add_parser("linear-decay", help="decay curve of the linear flow")
     p.add_argument("--p", type=float, default=1.0)
@@ -223,30 +167,28 @@ def build_parser():
     p.add_argument("--t-min", type=float, default=1e2)
     p.add_argument("--t-max", type=float, default=1e4)
     p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--profile", default="gaussian")
     p.add_argument("--tolerance", type=float, default=0.05)
     p.add_argument("--mode", default="lemma", choices=["lemma", "theorem"])
     p.add_argument("--r", type=float, default=None)
     p.add_argument("--output", default=None, help="CSV output path")
     p.set_defaults(fn=cmd_linear_decay)
 
-    p = sub.add_parser("evolve", help="nonlinear evolution of a perturbation")
-    _add_grid_args(p)
-    _add_fluid_args(p)
-    _add_doping_args(p)
+    p = sub.add_parser("evolve", help="nonlinear evolution of a perturbation",
+                       argument_default=argparse.SUPPRESS)
+    _add_steady_args(p)
     p.add_argument("--initial", default="random-smooth",
                    choices=["mode", "random-smooth"])
-    p.add_argument("--initial-amplitude", type=float, default=1e-3)
-    p.add_argument("--initial-mode", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--band", type=int, default=3)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--initial-amplitude", type=float)
+    p.add_argument("--initial-mode", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--band", type=int)
+    p.add_argument("--dt", type=float)
     p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--report-every", type=int, default=10)
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--report-every", type=int)
+    p.add_argument("--k", type=int)
     p.add_argument("--snapshots", action="store_true")
-    p.add_argument("--output", default="out")
-    p.set_defaults(fn=cmd_evolve)
+    p.add_argument("--output")
+    p.set_defaults(fn=cmd_stage)
 
     p = sub.add_parser("fit", help="fit a power-law exponent to a CSV curve")
     p.add_argument("--csv", required=True)

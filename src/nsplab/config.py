@@ -106,12 +106,14 @@ class ExperimentConfig:
                     n=self.get("grid", "n", int, required=True),
                     length=self.get("grid", "length", float, 2.0 * np.pi))
 
-    def build_fluid(self) -> FluidParams:
+    def build_fluid(self, doping: DopingProfile) -> FluidParams:
+        """Fluid parameters around the doping's steady state: the reference
+        density is the mean doping, the only value `solve_steady` accepts."""
         return FluidParams(
             law=GammaLaw(self.get("fluid", "gamma", float, 2.0)),
             mu=self.get("fluid", "mu", float, 1.0),
             mu_prime=self.get("fluid", "mu_prime", float, 0.0),
-            rho_bar=self.get("fluid", "rho_bar", float, 1.0))
+            rho_bar=doping.b_bar)
 
     def build_doping(self, grid: Grid) -> DopingProfile:
         preset = self.get("doping", "preset", str, "flat")
@@ -136,8 +138,7 @@ class ExperimentConfig:
                                      amplitude=amp)
         if preset == "random-smooth":
             return random_smooth_state(
-                grid, seed=self.get("initial", "seed", int,
-                                    self.get("output", "seed", int, 0)),
+                grid, seed=self.get("initial", "seed", int, 0),
                 amplitude=amp, band=self.get("initial", "band", int, 3))
         raise ConfigError(f"unknown initial preset {preset!r}")
 

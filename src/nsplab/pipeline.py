@@ -5,6 +5,7 @@ content-hash manifest."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from dataclasses import asdict, dataclass, fields
@@ -75,7 +76,7 @@ def target_exponent(ell: float, p: float, r: float | None = None,
             raise HypothesisError(f"theorem mode requires 1 <= p < 3/2, got p = {p}")
         if not 1.0 < r < 1.5:
             raise HypothesisError(f"theorem mode requires 1 < r < 3/2, got r = {r}")
-        zeta = 1.5 * (1.0 / max(p, r) - 0.5)
+        zeta = DiagnosticsConfig(p=p, r=r).zeta
         if q == np.inf:
             if ell != 0.0:
                 raise HypothesisError("q = inf rate is stated for ell = 0 only")
@@ -145,6 +146,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_state(outdir: Path, stem: str, state, produced):
+    for part in ("rho", "u"):
+        name = f"{stem}_{part}.nspf"
+        write_field(outdir / name, getattr(state, part))
+        produced.append(name)
+
+
 def _write_manifest(outdir: Path, produced, status, failure=None):
     manifest = {
         "status": status,
@@ -199,8 +207,8 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
         ss = None
         if config.has("grid"):
             grid = config.build_grid()
-            params = config.build_fluid()
             doping = config.build_doping(grid)
+            params = config.build_fluid(doping)
             ss = solve_steady(
                 params, doping,
                 tol=config.get("solver", "tol", float, 1e-10),
@@ -220,8 +228,13 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 fh.write("\n")
             produced.append("steady.json")
             summary["stages"]["steady"] = {
-                "residual_l2": ss.residual_l2, "iterations": ss.iterations,
-                "bounds_ok": report.bounds_ok}
+                "doping": doping.descriptor, "rho_bar": ss.rho_bar,
+                "iterations": ss.iterations, "residual_l2": ss.residual_l2,
+                "bounds_ok": report.bounds_ok,
+                "grad_rho_hk": report.grad_rho_hk,
+                "w2r_over_lr": report.ratio_w2r_lr,
+                "files": [str(outdir / "rho_s.nspf"),
+                          str(outdir / "phi_s.nspf")]}
 
         if config.has("evolve"):
             if ss is None:
@@ -233,12 +246,22 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 r=config.get("evolve", "r", float, 1.2))
             dt = config.get("evolve", "dt", float)
             t_end = config.get("evolve", "t_end", float, required=True)
+            snapshots = config.get("evolve", "snapshots", bool, False)
+            last, index = [initial], itertools.count()
+
+            def snapshot(state, rep):
+                last[0] = state
+                if snapshots:
+                    _write_state(outdir, f"state_{next(index):04d}", state,
+                                 produced)
+
             _, reports = evolve(
                 initial, ss, params, t_end, dt=dt,
                 report_every=config.get("evolve", "report_every", int, 10),
-                diagnostics=diag)
+                diagnostics=diag, snapshot_cb=snapshot)
             write_energy_csv(outdir / "energy.csv", reports)
             produced.append("energy.csv")
+            _write_state(outdir, "final", last[0], produced)
             final = reports[-1]
             summary["stages"]["evolve"] = {
                 "t_end": final.t,

@@ -16,7 +16,7 @@ The evolution matrix e^{tB} is the mode semigroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -248,7 +248,7 @@ def split_evolve_mode(params: FluidParams, kvec, t: float, state0):
 # Whole-space decay curves by radial quadrature
 # ---------------------------------------------------------------------------
 
-def initial_profile(p: float = 1.0, name: str = "gaussian"):
+def initial_profile(p: float = 1.0):
     """Spectral surrogate profile for L^p initial data.
 
     p = 1 maps to a bounded smooth profile exp(-xi^2); p in (1, 2] maps to
@@ -257,8 +257,6 @@ def initial_profile(p: float = 1.0, name: str = "gaussian"):
     """
     if not 1.0 <= p <= 2.0:
         raise ValueError("initial-data index p must lie in [1, 2]")
-    if name != "gaussian":
-        raise ValueError(f"unknown profile preset {name!r}")
     s = 3.0 * (1.0 - 1.0 / p)
 
     def profile(xi):
@@ -280,7 +278,6 @@ class LinearDecayQuery:
     q: float = 2.0
     component: str = "velocity"          # "density" | "velocity"
     parts: str = "both"                  # "both" | "compressible" | "incompressible"
-    profile_name: str = "gaussian"
 
     def __post_init__(self):
         if self.ell < 0:
@@ -351,7 +348,7 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
         params = FluidParams()
     if query.q == np.inf:
         return _linf_curve(query, times, params, nodes_per_panel)
-    profile = initial_profile(query.p, query.profile_name)
+    profile = initial_profile(query.p)
     vals = _l2_norms(query, params, times, profile, nodes_per_panel)
     if check_refinement:
         refs = _l2_norms(query, params, times, profile, 2 * nodes_per_panel)
@@ -367,12 +364,10 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
 def _linf_curve(query, times, params, nodes_per_panel):
     """L^inf surrogate via interpolation between first- and second-derivative
     L^2 norms: ||f||_inf <~ ||grad f||^{1/2} ||grad^2 f||^{1/2}."""
-    q1 = LinearDecayQuery(ell=1.0, p=query.p, q=2.0, component=query.component,
-                          parts=query.parts, profile_name=query.profile_name)
-    q2 = LinearDecayQuery(ell=2.0, p=query.p, q=2.0, component=query.component,
-                          parts=query.parts, profile_name=query.profile_name)
-    c1 = decay_curve(q1, times, params, nodes_per_panel)
-    c2 = decay_curve(q2, times, params, nodes_per_panel)
+    c1 = decay_curve(replace(query, ell=1.0, q=2.0), times, params,
+                     nodes_per_panel)
+    c2 = decay_curve(replace(query, ell=2.0, q=2.0), times, params,
+                     nodes_per_panel)
     return [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)]
 
 

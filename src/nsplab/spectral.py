@@ -417,22 +417,20 @@ def sobolev_norm(f: Field, k: int, base_order: float = 0.0) -> float:
     return _field_norm(f, k, base_order)
 
 
-def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float,
-                           p: float = 2.0):
+def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float):
     """Check the L^2 multiplier form of the Sobolev interpolation inequality.
 
     Returns (holds, ratio) where ratio = ||D^alpha f|| / (||D^beta f||^(1-theta)
-    * ||D^gamma f||^theta).  In multiplier form the inequality holds with
-    constant 1 by Hoelder on the mode sum.
+    * ||D^gamma f||^theta), theta = (alpha - beta) / (gamma - beta).  In
+    multiplier form the inequality holds with constant 1 by Hoelder on the
+    mode sum.
     """
-    if p != 2:
-        raise ValueError("exact-multiplier variant requires p = 2")
     if isclose(beta, gamma):
         if not isclose(alpha, beta):
             raise ValueError("invalid interpolation triple")
         theta = 0.0
     else:
-        theta = (alpha + 3.0 * (0.5 - 1.0 / p) - beta) / (gamma - beta)
+        theta = (alpha - beta) / (gamma - beta)
     if theta < -1e-12 or theta > 1.0 + 1e-12:
         raise ValueError("invalid interpolation triple")
     theta = min(max(theta, 0.0), 1.0)

@@ -15,7 +15,6 @@ __all__ = [
     "GammaLaw",
     "TabulatedLaw",
     "FluidParams",
-    "enthalpy",
     "remainder",
 ]
 
@@ -131,11 +130,6 @@ def _check_positive(z, what="density"):
         idx = np.unravel_index(int(np.argmin(z)), z.shape) if z.ndim else ()
         raise ValueError(f"nonpositive {what} (min {z.min():.6g} at index {idx})")
     return z
-
-
-def enthalpy(law: PressureLaw, z):
-    z = _check_positive(z)
-    return law.h(z)
 
 
 _GL_NODES, _GL_WEIGHTS = leggauss(16)

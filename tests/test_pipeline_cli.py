@@ -11,6 +11,8 @@ from nsplab.cli import main
 from nsplab.config import ConfigError, ExperimentConfig
 from nsplab.pipeline import (HypothesisError, render_float, run_pipeline,
                              target_exponent, write_csv)
+from nsplab.spectral import Grid
+from nsplab.steady import gaussian_bump_doping
 
 REPO = Path(__file__).resolve().parents[1]
 BUNDLED = REPO / "configs" / "lemma44_p1.cfg"
@@ -24,7 +26,6 @@ n = 16
 
 [fluid]
 gamma = 2.0
-rho_bar = 1.0
 
 [doping]
 preset = cosine
@@ -48,6 +49,22 @@ t_min = 100
 t_max = 1000
 samples = 15
 """
+
+# a non-flat doping, so the reference density (its mean) is not 1
+BUMP = """\
+[grid]
+dim = 2
+n = 16
+
+[fluid]
+gamma = 1.4
+
+[doping]
+preset = gaussian-bump
+amplitude = 0.3
+"""
+BUMP_FLAGS = ["--dim", "2", "--n", "16", "--gamma", "1.4",
+              "--doping", "gaussian-bump", "--amplitude", "0.3"]
 
 
 class TestConfig:
@@ -224,6 +241,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["residual_l2"] < 1e-10
         assert (tmp_path / "rho_s.nspf").exists()
+        assert set(payload) >= {"doping", "rho_bar", "iterations",
+                                "residual_l2", "bounds_ok", "grad_rho_hk",
+                                "w2r_over_lr", "files"}
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert set(manifest["files"]) == {"config_echo.cfg", "rho_s.nspf",
+                                          "phi_s.nspf", "steady.json"}
+
+    def test_steady_matches_run(self, tmp_path, capsys):
+        # [fluid] has no rho_bar: the reference density is the mean doping
+        cfg_path = tmp_path / "bump.cfg"
+        cfg_path.write_text(BUMP)
+        assert main(["run", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "run")]) == 0
+        run = json.loads(capsys.readouterr().out)["steady"]
+        assert main(["steady", *BUMP_FLAGS,
+                     "--output", str(tmp_path / "steady")]) == 0
+        steady = json.loads(capsys.readouterr().out)
+        b_bar = gaussian_bump_doping(Grid(dim=2, n=16), amplitude=0.3).b_bar
+        assert steady["rho_bar"] == run["rho_bar"] == b_bar != 1.0
+        for name in ("rho_s.nspf", "phi_s.nspf"):
+            assert ((tmp_path / "steady" / name).read_bytes()
+                    == (tmp_path / "run" / name).read_bytes())
 
     def test_evolve_subcommand(self, tmp_path, capsys):
         rc = main(["evolve", "--dim", "2", "--n", "16",
@@ -234,6 +273,40 @@ class TestCli:
         assert (tmp_path / "energy.csv").exists()
         assert (tmp_path / "final_rho.nspf").exists()
         assert (tmp_path / "final_u.nspf").exists()
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) >= {"t_end", "energy_lhs_initial",
+                                "energy_lhs_final", "script_n_final",
+                                "output_dir"}
+
+    def test_evolve_manifest_and_snapshots(self, tmp_path, capsys):
+        rc = main(["evolve", "--dim", "2", "--n", "16", "--doping", "cosine",
+                   "--amplitude", "0.05", "--dt", "0.1", "--t-end", "0.5",
+                   "--snapshots", "--output", str(tmp_path)])
+        assert rc == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        # reports at t = 0 and t = 0.5; the final state is the last one
+        assert set(manifest["files"]) >= {
+            "final_rho.nspf", "final_u.nspf", "energy.csv", "steady.json",
+            "state_0000_rho.nspf", "state_0001_u.nspf"}
+        for name, digest in manifest["files"].items():
+            actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert actual == digest, name
+        assert (manifest["files"]["final_u.nspf"]
+                == manifest["files"]["state_0001_u.nspf"])
+
+    def test_evolve_failure_leaves_partial_manifest(self, tmp_path):
+        # the blow-up of TestPipeline.test_partial_manifest_on_failure
+        with pytest.raises(Exception):
+            main(["evolve", "--dim", "2", "--n", "16", "--doping", "cosine",
+                  "--amplitude", "0.05", "--initial", "mode",
+                  "--initial-amplitude", "1.5", "--dt", "2.0",
+                  "--t-end", "200", "--report-every", "5",
+                  "--output", str(tmp_path)])
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert "failure" in manifest
+        assert "rho_s.nspf" in manifest["files"]
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -242,3 +315,23 @@ class TestCli:
                    "--output", str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "manifest.json").exists()
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"steady", "evolve", "decay", "output_dir"}
+
+    def test_exit_code_rule(self, tmp_path, capsys):
+        # 0 iff every stage that ran passed its check.  A bump in a wide
+        # box is under-resolved on 16^2 and leaves the doping range.
+        wide = ["--length", "50"]
+        assert main(["steady", *BUMP_FLAGS, *wide,
+                     "--output", str(tmp_path / "s")]) == 1
+        assert not json.loads(capsys.readouterr().out)["bounds_ok"]
+        assert main(["evolve", *BUMP_FLAGS, *wide, "--dt", "0.1",
+                     "--t-end", "0.1", "--output", str(tmp_path / "e")]) == 1
+        cases = [(BUMP, 0), (BUMP.replace("n = 16", "n = 16\nlength = 50"), 1),
+                 (SAMPLE.replace("samples = 15", "samples = 15\ntolerance = 0"),
+                  1)]
+        for i, (text, want) in enumerate(cases):
+            cfg_path = tmp_path / f"{i}.cfg"
+            cfg_path.write_text(text)
+            assert main(["run", "--config", str(cfg_path),
+                         "--output", str(tmp_path / str(i))]) == want, text

@@ -195,8 +195,6 @@ class TestDecayCurves:
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             initial_profile(0.5)
-        with pytest.raises(ValueError):
-            initial_profile(1.0, name="tophat")
 
     def test_curves_are_positive_and_decreasing_late(self):
         q = LinearDecayQuery(component="velocity")

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsplab.spectral import Field, Grid
-from nsplab.thermo import (FluidParams, GammaLaw, TabulatedLaw, enthalpy,
-                           remainder)
+from nsplab.thermo import FluidParams, GammaLaw, TabulatedLaw, remainder
 
 GRID = Grid(dim=2, n=8)
 
@@ -62,10 +61,6 @@ class TestFluidParams:
     def test_nu(self):
         p = FluidParams(mu=1.5, mu_prime=0.5, rho_bar=2.0)
         assert p.nu == pytest.approx(1.75)
-
-    def test_positivity_guard(self):
-        with pytest.raises(ValueError, match="nonpositive"):
-            enthalpy(GammaLaw(2.0), np.array([1.0, -0.5]))
 
 
 class TestRemainder:
