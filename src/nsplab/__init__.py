@@ -16,7 +16,8 @@ from .steady import (DopingProfile, SteadySolveError, SteadyState,
 from .semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
                         QuadratureError, decay_curve, evolve_full_symbol,
                         expm2, fit_exponent, initial_profile,
-                        mode_exponential, split_evolve_mode)
+                        mode_exponential, shared_exponentials,
+                        split_evolve_mode)
 from .evolution import (DiagnosticsConfig, EnergyReport, EvolutionError,
                         Integrator, PerturbationState, default_dt, evolve,
                         random_smooth_state, rhs_nonlinear,

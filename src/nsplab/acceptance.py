@@ -14,7 +14,7 @@ from .evolution import (DiagnosticsConfig, Integrator, evolve,
 from .pipeline import target_exponent
 from .semigroup import (LinearDecayQuery, ModeSymbol, decay_curve,
                         evolve_full_symbol, expm2, fit_exponent,
-                        split_evolve_mode)
+                        shared_exponentials, split_evolve_mode)
 from .spectral import (Field, Grid, frac_derivative, gn_interpolation_check,
                        laplacian, lp_norm)
 from .steady import gaussian_bump_doping, flat_doping, solve_steady, verify_steady
@@ -53,11 +53,12 @@ def gates_decay_fits() -> list:
         ("velocity ell=3/2", LinearDecayQuery(ell=1.5, component="velocity"), -1.50),
     ]
     out = []
-    for label, query, target in cases:
-        fit = fit_exponent(decay_curve(query, times), (1e2, 1e4))
-        out.append(_gate(
-            f"decay fit {label}", abs(fit.slope - target) <= 0.05,
-            f"slope {fit.slope:.4f} vs target {target} (tol 0.05)"))
+    with shared_exponentials():
+        for label, query, target in cases:
+            fit = fit_exponent(decay_curve(query, times), (1e2, 1e4))
+            out.append(_gate(
+                f"decay fit {label}", abs(fit.slope - target) <= 0.05,
+                f"slope {fit.slope:.4f} vs target {target} (tol 0.05)"))
     elapsed = time.perf_counter() - t0
     out.append(_gate("decay fit runtime", elapsed < 10.0,
                      f"{elapsed:.1f}s (budget 10s)"))

@@ -8,12 +8,13 @@ config round-trips losslessly.  Decay queries live in sections named
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .spectral import Grid
-from .steady import DopingProfile, doping_from_name
+from .steady import DOPING_PRESETS, DopingProfile, doping_from_name
 from .semigroup import LinearDecayQuery
 from .thermo import FluidParams, GammaLaw
 from .evolution import (PerturbationState, random_smooth_state,
@@ -117,15 +118,21 @@ class ExperimentConfig:
 
     def build_doping(self, grid: Grid) -> DopingProfile:
         preset = self.get("doping", "preset", str, "flat")
+        if preset not in DOPING_PRESETS:
+            raise ConfigError(f"unknown doping preset {preset!r}; "
+                              f"choose from {sorted(DOPING_PRESETS)}")
+        takes = inspect.signature(DOPING_PRESETS[preset]).parameters
         params = {}
         for key, cast in (("amplitude", float), ("center", float),
-                          ("sigma", float), ("base", float), ("value", float)):
+                          ("sigma", float), ("base", float), ("value", float),
+                          ("mode", int)):
             v = self.get("doping", key, cast)
-            if v is not None:
-                params[key] = v
-        mode = self.get("doping", "mode", int)
-        if mode is not None:
-            params["mode"] = mode
+            if v is None:
+                continue
+            if key not in takes:
+                raise ConfigError(
+                    f"doping preset {preset!r} takes no key {key!r}")
+            params[key] = v
         return doping_from_name(grid, preset, **params)
 
     def build_initial(self, grid: Grid) -> PerturbationState:

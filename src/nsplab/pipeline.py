@@ -17,7 +17,8 @@ from .arrayio import write_field
 from .config import ExperimentConfig
 from .evolution import (DiagnosticsConfig, EnergyReport, evolve,
                         initial_data_size)
-from .semigroup import LinearDecayQuery, decay_curve, fit_exponent
+from .semigroup import (LinearDecayQuery, decay_curve, fit_exponent,
+                        shared_exponentials)
 from .steady import solve_steady, verify_steady
 
 __all__ = [
@@ -271,23 +272,25 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 "k0": initial_data_size(initial, diag)}
 
         decay_reports = []
-        for label, query in config.decay_queries():
-            sect = f"decay.{label}"
-            t_min = config.get(sect, "t_min", float, 1e2)
-            t_max = config.get(sect, "t_max", float, 1e4)
-            samples = config.get(sect, "samples", int, 40)
-            tol = config.get(sect, "tolerance", float, 0.05)
-            r = config.get(sect, "r", float)
-            mode = config.get(sect, "mode", str, "lemma")
-            times = np.geomspace(t_min, t_max, samples)
-            curve, fit, rep = run_decay_query(
-                query, times, window=(t_min, t_max), tolerance=tol,
-                label=label, mode=mode, r=r)
-            fname = f"decay_{label}.csv"
-            write_csv(outdir / fname, ["t", "norm"], curve)
-            rep.curve_file = fname
-            produced.append(fname)
-            decay_reports.append(rep)
+        # queries on one fluid, times and node count share their exponentials
+        with shared_exponentials():
+            for label, query in config.decay_queries():
+                sect = f"decay.{label}"
+                t_min = config.get(sect, "t_min", float, 1e2)
+                t_max = config.get(sect, "t_max", float, 1e4)
+                samples = config.get(sect, "samples", int, 40)
+                tol = config.get(sect, "tolerance", float, 0.05)
+                r = config.get(sect, "r", float)
+                mode = config.get(sect, "mode", str, "lemma")
+                times = np.geomspace(t_min, t_max, samples)
+                curve, fit, rep = run_decay_query(
+                    query, times, window=(t_min, t_max), tolerance=tol,
+                    label=label, mode=mode, r=r)
+                fname = f"decay_{label}.csv"
+                write_csv(outdir / fname, ["t", "norm"], curve)
+                rep.curve_file = fname
+                produced.append(fname)
+                decay_reports.append(rep)
         if decay_reports:
             with open(outdir / "decay.json", "w", encoding="utf-8") as fh:
                 json.dump([asdict(r) for r in decay_reports], fh, indent=2)

@@ -16,7 +16,10 @@ The evolution matrix e^{tB} is the mode semigroup.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,6 +38,7 @@ __all__ = [
     "evolve_full_symbol",
     "initial_profile",
     "decay_curve",
+    "shared_exponentials",
     "fit_exponent",
 ]
 
@@ -63,9 +67,14 @@ class ModeSymbol:
 
     @classmethod
     def from_params(cls, params: FluidParams, xi) -> "ModeSymbol":
-        return cls(xi=xi, rho_bar=params.rho_bar,
-                   h_prime_bar=params.h_prime_bar, nu=params.nu,
-                   mu_over_rho=params.mu / params.rho_bar)
+        return cls(xi, *cls.fluid_scalars(params))
+
+    @staticmethod
+    def fluid_scalars(params: FluidParams) -> tuple:
+        """Every field but xi, in field order: (rho_bar, h_prime_bar, nu,
+        mu_over_rho)."""
+        return (params.rho_bar, params.h_prime_bar, params.nu,
+                params.mu / params.rho_bar)
 
     @property
     def normalized_block(self) -> np.ndarray:
@@ -305,31 +314,78 @@ def _radial_nodes(nodes_per_panel):
     return (mid + half * gl_x).ravel(), (gl_w * half).ravel()
 
 
+class _ModeTable:
+    """Radial nodes and weights of one symbol, and the squared row norms
+    |E_0.|^2 and |E_1.|^2 of its normalized mode semigroup E at every
+    (time, node) pair, from one batched exponential made on first use."""
+
+    def __init__(self, sym: ModeSymbol, w, times):
+        self.sym, self.w, self.times = sym, w, times
+
+    @cached_property
+    def row_norms2(self):
+        E = expm2(self.sym.normalized_block, self.times[:, None])
+        return tuple(np.einsum("tnj,tnj->tn", E[..., r, :], E[..., r, :])
+                     for r in (0, 1))
+
+
+# the tables of the open `shared_exponentials` scope, or None outside one
+_shared_tables: ContextVar[dict | None] = ContextVar("_shared_tables",
+                                                     default=None)
+
+
+@contextmanager
+def shared_exponentials():
+    """Scope in which decay curves on the same fluid, times and nodes per
+    panel share one `_ModeTable`.  Nested scopes join the outermost one; its
+    tables are dropped when it exits."""
+    if _shared_tables.get() is not None:
+        yield
+        return
+    token = _shared_tables.set({})
+    try:
+        yield
+    finally:
+        _shared_tables.reset(token)
+
+
+def _mode_table(params, times, nodes_per_panel) -> _ModeTable:
+    """The scope's table for these arguments, built on first request;
+    outside a scope a new table on every call."""
+    fluid = ModeSymbol.fluid_scalars(params)
+    key = (*fluid, times.tobytes(), nodes_per_panel)
+    tables = _shared_tables.get()
+    table = tables.get(key) if tables is not None else None
+    if table is None:
+        xi, w = _radial_nodes(nodes_per_panel)
+        table = _ModeTable(ModeSymbol(xi, *fluid), w, times.copy())
+        if tables is not None:
+            tables[key] = table
+    return table
+
+
 def _l2_norms(query, params, times, profile, nodes_per_panel):
-    """L^2 norms at every time, from one batched exponential over all
-    (time x node) pairs.
+    """L^2 norms at every time, weighting the squared row norms of the
+    mode table's exponentials over its radial nodes.
 
     The two data channels (the |k|^{-1}-weighted density and the velocity)
     are combined incoherently, modeling the operator-norm character of the
     linear estimates; this removes the plasma-oscillation beating from the
     reported norms without changing the decay exponent.
     """
-    xi, w = _radial_nodes(nodes_per_panel)
-    sym = ModeSymbol.from_params(params, xi)
-    weight = w * profile(xi) ** 2 * xi ** (2.0 * query.ell) * 4.0 * np.pi * xi * xi
-    t = times[:, None]
+    table = _mode_table(params, times, nodes_per_panel)
+    sym, xi = table.sym, table.sym.xi
+    weight = table.w * profile(xi) ** 2 * xi ** (2.0 * query.ell) * 4.0 * np.pi * xi * xi
     amp2 = 0.0
     if query.component == "density" or query.parts != "incompressible":
         # normalized block: w = rho_hat / xi, so the density picks up xi^2
-        row = 0 if query.component == "density" else 1
-        E = expm2(sym.normalized_block, t)[..., row, :]
-        amp2 = np.einsum("tnj,tnj->tn", E, E)
-        del E                                  # free it before the heat term
+        amp2 = table.row_norms2[0 if query.component == "density" else 1]
         if query.component == "density":
             weight *= xi * xi
     if query.component == "velocity" and query.parts != "compressible":
-        heat2 = np.multiply(sym.incompressible_rate, -2.0 * t)
-        amp2 += np.exp(heat2, out=heat2)         # squared heat factor
+        heat2 = np.multiply(sym.incompressible_rate, -2.0 * times[:, None])
+        np.exp(heat2, out=heat2)                 # squared heat factor
+        amp2 = np.add(heat2, amp2, out=heat2)    # amp2 may be a table row
     return np.sqrt(amp2 @ weight)
 
 
@@ -340,7 +396,8 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
 
     With check_refinement, the norms are recomputed with twice the nodes per
     panel and a QuadratureError names the first time where the two differ by
-    more than 1e-6 relative."""
+    more than 1e-6 relative.  A query whose integral diverges at xi -> 0
+    raises a QuadratureError before any exponential is computed."""
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be positive and increasing")
@@ -349,9 +406,13 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
     if query.q == np.inf:
         return _linf_curve(query, times, params, nodes_per_panel)
     profile = initial_profile(query.p)
+    _check_integrable(query)
+    # the finer norms first: no coarse table is held while the finer
+    # exponential, the largest array here, is built
+    refs = (_l2_norms(query, params, times, profile, 2 * nodes_per_panel)
+            if check_refinement else None)
     vals = _l2_norms(query, params, times, profile, nodes_per_panel)
-    if check_refinement:
-        refs = _l2_norms(query, params, times, profile, 2 * nodes_per_panel)
+    if refs is not None:
         bad = np.abs(vals - refs) > 1e-6 * np.maximum(refs, 1e-300)
         if bad.any():
             i = int(np.argmax(bad))
@@ -361,13 +422,28 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
     return [(float(t), float(v)) for t, v in zip(times, vals)]
 
 
+def _check_integrable(query):
+    """Near xi = 0 the squared rows of E and the heat factor stay O(1), so
+    the squared integrand behaves like xi^(2 ell + 2 - 2s), times xi^2 for
+    the density, with s = 3 (1 - 1/p) the profile's singularity; the
+    integral diverges when that power is <= -1."""
+    s = 3.0 * (1.0 - 1.0 / query.p)
+    margin = 2.5 if query.component == "density" else 1.5
+    if s >= query.ell + margin:
+        raise QuadratureError(
+            f"{query.component} integral diverges at xi -> 0: "
+            f"3(1 - 1/p) = {s!r} >= ell + {margin} "
+            f"(p = {query.p}, ell = {query.ell})")
+
+
 def _linf_curve(query, times, params, nodes_per_panel):
     """L^inf surrogate via interpolation between first- and second-derivative
     L^2 norms: ||f||_inf <~ ||grad f||^{1/2} ||grad^2 f||^{1/2}."""
-    c1 = decay_curve(replace(query, ell=1.0, q=2.0), times, params,
-                     nodes_per_panel)
-    c2 = decay_curve(replace(query, ell=2.0, q=2.0), times, params,
-                     nodes_per_panel)
+    with shared_exponentials():
+        c1 = decay_curve(replace(query, ell=1.0, q=2.0), times, params,
+                         nodes_per_panel)
+        c2 = decay_curve(replace(query, ell=2.0, q=2.0), times, params,
+                         nodes_per_panel)
     return [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)]
 
 

@@ -32,6 +32,7 @@ __all__ = [
     "flat_doping",
     "gaussian_bump_doping",
     "cosine_doping",
+    "DOPING_PRESETS",
     "doping_from_name",
     "solve_steady",
     "verify_steady",
@@ -101,16 +102,18 @@ def cosine_doping(grid: Grid, amplitude: float = 0.1, mode: int = 1,
                          descriptor=f"cosine({amplitude},{mode})")
 
 
+DOPING_PRESETS = {
+    "flat": flat_doping,
+    "gaussian-bump": gaussian_bump_doping,
+    "cosine": cosine_doping,
+}
+
+
 def doping_from_name(grid: Grid, name: str, **params) -> DopingProfile:
-    presets = {
-        "flat": flat_doping,
-        "gaussian-bump": gaussian_bump_doping,
-        "cosine": cosine_doping,
-    }
-    if name not in presets:
+    if name not in DOPING_PRESETS:
         raise ValueError(f"unknown doping preset {name!r}; "
-                         f"choose from {sorted(presets)}")
-    return presets[name](grid, **params)
+                         f"choose from {sorted(DOPING_PRESETS)}")
+    return DOPING_PRESETS[name](grid, **params)
 
 
 @dataclass

@@ -11,6 +11,7 @@ from nsplab.cli import main
 from nsplab.config import ConfigError, ExperimentConfig
 from nsplab.pipeline import (HypothesisError, render_float, run_pipeline,
                              target_exponent, write_csv)
+from nsplab.semigroup import QuadratureError
 from nsplab.spectral import Grid
 from nsplab.steady import gaussian_bump_doping
 
@@ -209,6 +210,17 @@ class TestPipeline:
         assert "failure" in manifest
         assert "rho_s.nspf" in manifest["files"]
 
+    def test_divergent_query_fails_by_name(self, tmp_path):
+        cfg = ExperimentConfig.parse(
+            "[decay.vel]\np = 2\ncomponent = velocity\n")
+        with pytest.raises(QuadratureError):
+            run_pipeline(cfg, output_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"].startswith(
+            "QuadratureError: velocity integral diverges at xi -> 0")
+        assert "decay_vel.csv" not in manifest["files"]
+
 
 class TestCli:
     def test_linear_decay_subcommand(self, tmp_path, capsys):
@@ -317,6 +329,20 @@ class TestCli:
         assert (tmp_path / "out" / "manifest.json").exists()
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"steady", "evolve", "decay", "output_dir"}
+
+    def test_doping_key_the_preset_does_not_take(self, tmp_path):
+        cfg_path = tmp_path / "flat.cfg"
+        cfg_path.write_text(BUMP.replace("gaussian-bump", "flat"))
+        want = "doping preset 'flat' takes no key 'amplitude'"
+        with pytest.raises(ConfigError, match=want):
+            main(["run", "--config", str(cfg_path),
+                  "--output", str(tmp_path / "run")])
+        with pytest.raises(ConfigError, match=want):
+            main(["steady", "--dim", "2", "--n", "16", "--doping", "flat",
+                  "--amplitude", "0.1", "--output", str(tmp_path / "steady")])
+        for sub in ("run", "steady"):
+            manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+            assert manifest["failure"] == f"ConfigError: {want}"
 
     def test_exit_code_rule(self, tmp_path, capsys):
         # 0 iff every stage that ran passed its check.  A bump in a wide

@@ -1,8 +1,15 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm as scipy_expm
 
+from nsplab import semigroup
+from nsplab.acceptance import gates_decay_fits
+from nsplab.config import ExperimentConfig
+from nsplab.pipeline import run_pipeline
 from nsplab.semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
                               QuadratureError, decay_curve,
                               evolve_full_symbol, expm2, fit_exponent,
@@ -11,6 +18,20 @@ from nsplab.semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
 from nsplab.thermo import FluidParams, GammaLaw
 
 PARAMS = FluidParams()
+BUNDLED = Path(__file__).resolve().parents[1] / "configs" / "lemma44_p1.cfg"
+
+
+@pytest.fixture
+def expm2_calls(monkeypatch):
+    """The time shapes of every `semigroup.expm2` call made by the test."""
+    calls = []
+
+    def counting(M, t):
+        calls.append(np.shape(t))
+        return expm2(M, t)
+
+    monkeypatch.setattr(semigroup, "expm2", counting)
+    return calls
 
 
 class TestExpm2:
@@ -249,6 +270,15 @@ class TestDecayCurves:
         with pytest.raises(QuadratureError, match=f"t={first}:"):
             decay_curve(q, times, nodes_per_panel=4)
 
+    def test_divergent_query_is_rejected(self, expm2_calls):
+        # 3 (1 - 1/p) >= ell + 3/2: the velocity integral diverges at xi -> 0
+        times = np.geomspace(1e2, 1e4, 12)
+        with pytest.raises(QuadratureError, match="velocity integral diverges"):
+            decay_curve(LinearDecayQuery(p=2.0), times)
+        assert expm2_calls == []
+        curve = decay_curve(LinearDecayQuery(p=1.9), times)
+        assert all(np.isfinite(v) and v > 0 for _, v in curve)
+
     def test_rejects_bad_times(self):
         q = LinearDecayQuery()
         with pytest.raises(ValueError):
@@ -287,3 +317,42 @@ class TestFitExponent:
         fit = fit_exponent([(ti, ti ** -2.0) for ti in t])
         assert isinstance(fit, FitResult)
         assert fit.n == 12
+
+
+class TestSharedExponentials:
+    """A run's decay curves share one mode-exponential table per node count
+    and give the same values as one unshared `decay_curve` per query."""
+
+    def test_pipeline_makes_two_exponentials(self, tmp_path, expm2_calls):
+        config = ExperimentConfig.from_file(BUNDLED)
+        for run in ("first", "second"):
+            expm2_calls.clear()
+            run_pipeline(config, tmp_path / run)
+            assert len(expm2_calls) == 2, run
+        expm2_calls.clear()
+        for label, query in config.decay_queries():
+            sect = f"decay.{label}"
+            times = np.geomspace(config.get(sect, "t_min", float),
+                                 config.get(sect, "t_max", float),
+                                 config.get(sect, "samples", int))
+            alone = np.array(decay_curve(query, times))
+            written = np.loadtxt(tmp_path / "second" / f"decay_{label}.csv",
+                                 delimiter=",", skiprows=1)
+            assert np.array_equal(written, alone), label
+        assert len(expm2_calls) == 2 * len(config.decay_queries())
+
+    def test_decay_gates_make_two_exponentials(self, expm2_calls):
+        gates = gates_decay_fits()
+        assert len(expm2_calls) == 2
+        assert all(g.passed for g in gates)
+
+    def test_sup_norm_curve_makes_two_exponentials(self, expm2_calls):
+        query = LinearDecayQuery(q=np.inf, component="velocity")
+        times = np.geomspace(1e2, 1e4, 25)
+        shared = decay_curve(query, times)
+        assert len(expm2_calls) == 2
+        c1, c2 = (np.array(decay_curve(replace(query, ell=ell, q=2.0), times))
+                  for ell in (1.0, 2.0))
+        assert len(expm2_calls) == 6
+        assert np.array_equal(np.array(shared)[:, 1],
+                              np.sqrt(c1[:, 1] * c2[:, 1]))
