@@ -11,8 +11,8 @@ from .arrayio import read_field, write_field
 from .thermo import (FluidParams, GammaLaw, PressureLaw, TabulatedLaw,
                      remainder)
 from .steady import (DopingProfile, SteadySolveError, SteadyState,
-                     cosine_doping, doping_from_name, flat_doping,
-                     gaussian_bump_doping, solve_steady, verify_steady)
+                     cosine_doping, flat_doping, gaussian_bump_doping,
+                     solve_steady, verify_steady)
 from .semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
                         QuadratureError, decay_curve, evolve_full_symbol,
                         expm2, fit_exponent, initial_profile,

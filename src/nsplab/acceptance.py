@@ -177,7 +177,6 @@ def gates_oracles() -> list:
     rng = np.random.default_rng(3)
     laws = [GammaLaw(g) for g in (1.0, 1.4, 2.0, 2.5, 3.0)]
     laws.append(TabulatedLaw(
-        p_fn=lambda z: z ** 2 + 0.5 * z,
         dp_fn=lambda z: 2.0 * z + 0.5,
         d2p_fn=lambda z: 2.0 * np.ones_like(z)))
     worst = 0.0
@@ -237,9 +236,9 @@ def gates_nonlinear() -> list:
         pois_l2 = max(pois_l2,
                       float(np.sqrt(np.sum(pois ** 2) * grid.cell_volume)))
 
-    _, reports = evolve(initial, ss, params, t_end=50.0, dt=0.05,
-                        report_every=20, diagnostics=diag,
-                        snapshot_cb=constraints)
+    reports = evolve(initial, ss, params, t_end=50.0, dt=0.05,
+                     report_every=20, diagnostics=diag,
+                     snapshot_cb=constraints)
     out.append(_gate("mass conservation", max_mean < 1e-12,
                      f"max |mean density pert| {max_mean:.3e} (tol 1e-12)"))
     out.append(_gate("electrostatic constraint", pois_l2 < 1e-10,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .spectral import Grid
-from .steady import DOPING_PRESETS, DopingProfile, doping_from_name
+from .steady import DOPING_PRESETS, DopingProfile
 from .semigroup import LinearDecayQuery
 from .thermo import FluidParams, GammaLaw
 from .evolution import (PerturbationState, random_smooth_state,
@@ -107,14 +107,15 @@ class ExperimentConfig:
                     n=self.get("grid", "n", int, required=True),
                     length=self.get("grid", "length", float, 2.0 * np.pi))
 
-    def build_fluid(self, doping: DopingProfile) -> FluidParams:
+    def build_fluid(self, doping: DopingProfile | None) -> FluidParams:
         """Fluid parameters around the doping's steady state: the reference
-        density is the mean doping, the only value `solve_steady` accepts."""
+        density is the mean doping, the only value `solve_steady` accepts,
+        and 1 without a doping (a config with no [grid])."""
         return FluidParams(
             law=GammaLaw(self.get("fluid", "gamma", float, 2.0)),
             mu=self.get("fluid", "mu", float, 1.0),
             mu_prime=self.get("fluid", "mu_prime", float, 0.0),
-            rho_bar=doping.b_bar)
+            rho_bar=1.0 if doping is None else doping.b_bar)
 
     def build_doping(self, grid: Grid) -> DopingProfile:
         preset = self.get("doping", "preset", str, "flat")
@@ -133,7 +134,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"doping preset {preset!r} takes no key {key!r}")
             params[key] = v
-        return doping_from_name(grid, preset, **params)
+        return DOPING_PRESETS[preset](grid, **params)
 
     def build_initial(self, grid: Grid) -> PerturbationState:
         preset = self.get("initial", "preset", str, "zero")

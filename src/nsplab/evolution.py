@@ -90,20 +90,18 @@ def zero_state(grid: Grid) -> PerturbationState:
         u=Field(grid, np.zeros((grid.dim,) + grid.shape)))
 
 
-def single_mode_state(grid: Grid, mode: int = 1, amplitude: float = 1e-3,
-                      with_velocity: bool = False) -> PerturbationState:
-    """cos mode in the density (mean-zero); optionally a matching velocity."""
+def single_mode_state(grid: Grid, mode: int = 1,
+                      amplitude: float = 1e-3) -> PerturbationState:
+    """cos mode in the density (mean-zero) at rest."""
     x = grid.coords()[0]
     rho = amplitude * np.cos(2.0 * np.pi * mode * x / grid.length)
     u = np.zeros((grid.dim,) + grid.shape)
-    if with_velocity:
-        u[0] = amplitude * np.sin(2.0 * np.pi * mode * x / grid.length)
     return PerturbationState(rho=Field(grid, rho), u=Field(grid, u))
 
 
 def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
-                        band: int = 3, norm_index: int = 4) -> PerturbationState:
-    """Random band-limited state scaled so ||(rho, u)||_{H^k} = amplitude."""
+                        band: int = 3) -> PerturbationState:
+    """Random band-limited state scaled so ||(rho, u)||_{H^4} = amplitude."""
     rng = np.random.default_rng(seed)
     m = grid.mode_numbers()
     inband = np.all(np.abs(m) <= band, axis=0)
@@ -119,7 +117,7 @@ def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
 
     rho = Field(grid, one_scalar())
     u = Field(grid, np.stack([one_scalar() for _ in range(grid.dim)]))
-    size = np.hypot(sobolev_norm(rho, norm_index), sobolev_norm(u, norm_index))
+    size = np.hypot(sobolev_norm(rho, 4), sobolev_norm(u, 4))
     scale = amplitude / size if size > 0 else 0.0
     return PerturbationState(rho=scale * rho, u=scale * u)
 
@@ -285,13 +283,13 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     return n1, n2
 
 
-def default_dt(params: FluidParams, grid: Grid, cfl: float = 0.4) -> float:
-    """CFL-style step: min of acoustic and diffusive limits."""
+def default_dt(params: FluidParams, grid: Grid) -> float:
+    """CFL-style step: 0.4 times the min of acoustic and diffusive limits."""
     wave_speed = np.sqrt(params.h_prime_bar * params.rho_bar + 1.0)
     dx = grid.dx
     acoustic = dx / wave_speed
     diffusive = dx * dx * params.rho_bar / (2.0 * params.mu + params.mu_prime)
-    return cfl * min(acoustic, diffusive)
+    return 0.4 * min(acoustic, diffusive)
 
 
 class Integrator:
@@ -456,15 +454,15 @@ def initial_data_size(state: PerturbationState, cfg: DiagnosticsConfig) -> float
 
 def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
            t_end: float, dt: float | None = None, report_every: int = 10,
-           diagnostics: DiagnosticsConfig | None = None,
-           keep_trajectory: bool = False, snapshot_cb=None):
-    """Advance the perturbation to t_end, emitting EnergyReports.
+           diagnostics: DiagnosticsConfig | None = None, snapshot_cb=None):
+    """Advance the perturbation to t_end and return its EnergyReports.
 
     Steps of size dt are taken while they fit, then one shortened step lands
     on t_end; when t_end / dt is within 1e-9 relative of an integer, exactly
-    that many full steps are taken.  The final state's t is t_end.  On blow-up or positivity loss the
-    trajectory is truncated and the partial reports are returned inside the
-    raised EvolutionError (attribute ``reports``)."""
+    that many full steps are taken.  The final state's t is t_end.  Each
+    reported state is passed with its report to ``snapshot_cb(state, report)``.
+    On blow-up or positivity loss the run stops and the partial reports are
+    returned inside the raised EvolutionError (attribute ``reports``)."""
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
     cfg = diagnostics or DiagnosticsConfig()
@@ -480,11 +478,9 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
     zeta = cfg.zeta
 
     reports = []
-    trajectory = [initial] if keep_trajectory else []
     diss = 0.0
     sup_n = 0.0
     sup_k = 0.0
-    prev_diss_integrand = None
 
     def push_report(state):
         nonlocal sup_n, sup_k
@@ -525,8 +521,6 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
         cur = diss_integrand(state)
         diss += 0.5 * stepper.dt * (prev_diss_integrand + cur)   # trapezoidal
         prev_diss_integrand = cur
-        if keep_trajectory:
-            trajectory.append(state)
         if istep % report_every == 0 or istep == nsteps:
             push_report(state)
-    return trajectory, reports
+    return reports

@@ -205,11 +205,12 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
     produced.append("config_echo.cfg")
 
     try:
-        ss = None
+        ss = doping = None
         if config.has("grid"):
             grid = config.build_grid()
             doping = config.build_doping(grid)
-            params = config.build_fluid(doping)
+        params = config.build_fluid(doping)
+        if doping is not None:
             ss = solve_steady(
                 params, doping,
                 tol=config.get("solver", "tol", float, 1e-10),
@@ -256,7 +257,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                     _write_state(outdir, f"state_{next(index):04d}", state,
                                  produced)
 
-            _, reports = evolve(
+            reports = evolve(
                 initial, ss, params, t_end, dt=dt,
                 report_every=config.get("evolve", "report_every", int, 10),
                 diagnostics=diag, snapshot_cb=snapshot)
@@ -284,8 +285,8 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 mode = config.get(sect, "mode", str, "lemma")
                 times = np.geomspace(t_min, t_max, samples)
                 curve, fit, rep = run_decay_query(
-                    query, times, window=(t_min, t_max), tolerance=tol,
-                    label=label, mode=mode, r=r)
+                    query, times, params, window=(t_min, t_max),
+                    tolerance=tol, label=label, mode=mode, r=r)
                 fname = f"decay_{label}.csv"
                 write_csv(outdir / fname, ["t", "norm"], curve)
                 rep.curve_file = fname

@@ -299,9 +299,10 @@ class LinearDecayQuery:
             raise ValueError("parts must be both/compressible/incompressible")
 
 
-def _radial_panels(xi_min=1e-6, xi_split=1.0, xi_max=8.0, n_low=24, n_high=8):
-    edges = list(np.geomspace(xi_min, xi_split, n_low + 1))
-    edges += list(np.linspace(xi_split, xi_max, n_high + 1))[1:]
+def _radial_panels():
+    """24 log-spaced panels on [1e-6, 1], then 8 equal ones on [1, 8]."""
+    edges = list(np.geomspace(1e-6, 1.0, 25))
+    edges += list(np.linspace(1.0, 8.0, 9))[1:]
     return edges
 
 
@@ -390,14 +391,14 @@ def _l2_norms(query, params, times, profile, nodes_per_panel):
 
 
 def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = None,
-                nodes_per_panel: int = 10, check_refinement: bool = True):
+                nodes_per_panel: int = 10):
     """||nabla^ell component(t)||_{L^2(R^3)} at the given times, by composite
     Gauss-Legendre radial quadrature (log-spaced panels below xi = 1).
 
-    With check_refinement, the norms are recomputed with twice the nodes per
-    panel and a QuadratureError names the first time where the two differ by
-    more than 1e-6 relative.  A query whose integral diverges at xi -> 0
-    raises a QuadratureError before any exponential is computed."""
+    The norms are recomputed with twice the nodes per panel and a
+    QuadratureError names the first time where the two differ by more than
+    1e-6 relative.  A query whose integral diverges at xi -> 0 raises a
+    QuadratureError before any exponential is computed."""
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be positive and increasing")
@@ -409,16 +410,14 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
     _check_integrable(query)
     # the finer norms first: no coarse table is held while the finer
     # exponential, the largest array here, is built
-    refs = (_l2_norms(query, params, times, profile, 2 * nodes_per_panel)
-            if check_refinement else None)
+    refs = _l2_norms(query, params, times, profile, 2 * nodes_per_panel)
     vals = _l2_norms(query, params, times, profile, nodes_per_panel)
-    if refs is not None:
-        bad = np.abs(vals - refs) > 1e-6 * np.maximum(refs, 1e-300)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise QuadratureError(
-                f"quadrature not converged at t={times[i]}: "
-                f"{float(vals[i])!r} vs {float(refs[i])!r}")
+    bad = np.abs(vals - refs) > 1e-6 * np.maximum(refs, 1e-300)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise QuadratureError(
+            f"quadrature not converged at t={times[i]}: "
+            f"{float(vals[i])!r} vs {float(refs[i])!r}")
     return [(float(t), float(v)) for t, v in zip(times, vals)]
 
 

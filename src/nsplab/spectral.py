@@ -219,23 +219,10 @@ class Field:
             raise ValueError("scalar field has no components")
         return Field(self.grid, self.values[i])
 
-    def __add__(self, other):
-        return Field(self.grid, self.values + _values_of(other))
-
-    def __sub__(self, other):
-        return Field(self.grid, self.values - _values_of(other))
-
     def __mul__(self, scalar):
         return Field(self.grid, self.values * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values)
-
-
-def _values_of(other):
-    return other.values if isinstance(other, Field) else other
 
 
 def _axes(grid):

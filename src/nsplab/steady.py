@@ -33,7 +33,6 @@ __all__ = [
     "gaussian_bump_doping",
     "cosine_doping",
     "DOPING_PRESETS",
-    "doping_from_name",
     "solve_steady",
     "verify_steady",
 ]
@@ -107,13 +106,6 @@ DOPING_PRESETS = {
     "gaussian-bump": gaussian_bump_doping,
     "cosine": cosine_doping,
 }
-
-
-def doping_from_name(grid: Grid, name: str, **params) -> DopingProfile:
-    if name not in DOPING_PRESETS:
-        raise ValueError(f"unknown doping preset {name!r}; "
-                         f"choose from {sorted(DOPING_PRESETS)}")
-    return DOPING_PRESETS[name](grid, **params)
 
 
 @dataclass
@@ -237,12 +229,12 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
                        iterations=len(history), residual_history=history)
 
 
-def _newton_correct(op, picard_target, inner=4):
-    """Refine the Picard target by a few preconditioned corrections of the
+def _newton_correct(op, picard_target):
+    """Refine the Picard target by four preconditioned corrections of the
     full residual (inexact Newton with the constant-coefficient operator
     as preconditioner)."""
     g = picard_target
-    for _ in range(inner):
+    for _ in range(4):
         rho_vals = op.params.rho_bar + irfftn(op.grid, g)
         if np.any(rho_vals <= 0):
             return picard_target
@@ -260,7 +252,7 @@ class SteadyReport:
     mean_mismatch: float
     residual_l2: float
     gradient_balance_l2: float      # || grad h(rho_s) - grad phi_s ||_L2
-    grad_rho_hk: float              # || grad rho_s ||_{H^k}
+    grad_rho_hk: float              # || grad rho_s ||_{H^2}
     w2r_deviation: float            # || rho_s - rho_bar ||_{W^{2,r}} (discrete)
     lr_doping_deviation: float      # || b - b_bar ||_{L^r}
     ratio_w2r_lr: float
@@ -286,7 +278,7 @@ def w2r_norm(f: Field, r: float) -> float:
 
 
 def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
-                  r: float = 1.2, hk: int = 2, slack: float = 1e-8) -> SteadyReport:
+                  r: float = 1.2) -> SteadyReport:
     """Diagnostic report on a computed steady state (pure checks, no raise).
 
     Only the residual stays on the full complex path (`gradient`,
@@ -297,7 +289,7 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
     b_min, b_max = float(doping.b.values.min()), float(doping.b.values.max())
     rho_min = float(ss.rho_s.values.min())
     rho_max = float(ss.rho_s.values.max())
-    bounds_ok = rho_min >= b_min - slack and rho_max <= b_max + slack
+    bounds_ok = rho_min >= b_min - 1e-8 and rho_max <= b_max + 1e-8
 
     w2r = w2r_norm(ss.f, r)
     lr = lp_norm(Field(grid, doping.b.values - doping.b_bar), r)
@@ -314,7 +306,7 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
         mean_mismatch=abs(float(ss.rho_s.values.mean()) - doping.b_bar),
         residual_l2=res_l2,
         gradient_balance_l2=bal_l2,
-        grad_rho_hk=sobolev_norm(ss.f, hk, 1),  # ||grad f||_{H^k}
+        grad_rho_hk=sobolev_norm(ss.f, 2, 1),  # ||grad f||_{H^2}
         w2r_deviation=w2r,
         lr_doping_deviation=lr,
         ratio_w2r_lr=w2r / lr if lr > 0 else 0.0,

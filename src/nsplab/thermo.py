@@ -20,10 +20,8 @@ __all__ = [
 
 
 class PressureLaw:
-    """Base class; subclasses provide p and its first three derivatives."""
-
-    def p(self, z):
-        raise NotImplementedError
+    """Base class; subclasses provide p' and, for the quadrature remainder,
+    h''."""
 
     def dp(self, z):
         raise NotImplementedError
@@ -53,9 +51,6 @@ class GammaLaw(PressureLaw):
         if self.gamma < 1.0:
             raise ValueError("gamma must be >= 1")
 
-    def p(self, z):
-        return np.asarray(z, dtype=float) ** self.gamma
-
     def dp(self, z):
         g = self.gamma
         return g * np.asarray(z, dtype=float) ** (g - 1.0)
@@ -70,21 +65,13 @@ class GammaLaw(PressureLaw):
     def h_prime(self, z):
         return self.gamma * np.asarray(z, dtype=float) ** (self.gamma - 2.0)
 
-    def h_second(self, z):
-        g = self.gamma
-        return g * (g - 2.0) * np.asarray(z, dtype=float) ** (g - 3.0)
-
 
 @dataclass(frozen=True)
 class TabulatedLaw(PressureLaw):
-    """User-supplied smooth law given by callables for p and derivatives."""
+    """User-supplied smooth law given by callables for p' and p''."""
 
-    p_fn: object
     dp_fn: object
     d2p_fn: object = None
-
-    def p(self, z):
-        return self.p_fn(np.asarray(z, dtype=float))
 
     def dp(self, z):
         return self.dp_fn(np.asarray(z, dtype=float))

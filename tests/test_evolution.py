@@ -41,6 +41,23 @@ def with_nyquist(state, amplitude):
     return PerturbationState(rho=Field(state.grid, rho), u=Field(state.grid, u))
 
 
+def moving_mode_state(grid, amplitude):
+    """The first density cos mode with the matching u_0 = A sin(2 pi x / L)."""
+    s = single_mode_state(grid, amplitude=amplitude)
+    u = s.u.values.copy()
+    u[0] = amplitude * np.sin(2.0 * np.pi * grid.coords()[0] / grid.length)
+    return PerturbationState(rho=s.rho, u=Field(grid, u))
+
+
+def report_states(*args, **kwargs):
+    """`evolve` reporting every step: its report states and its reports."""
+    states = []
+    reports = evolve(*args, report_every=1,
+                     snapshot_cb=lambda state, rep: states.append(state),
+                     **kwargs)
+    return states, reports
+
+
 class TestStates:
     def test_zero_state(self):
         s = zero_state(GRID)
@@ -140,7 +157,7 @@ class TestIntegrator:
         from nsplab.semigroup import split_evolve_mode
         grid = GRID
         amp = 1e-9
-        s = single_mode_state(grid, mode=1, amplitude=amp, with_velocity=True)
+        s = moving_mode_state(grid, amp)
         t = 0.7
         out = Integrator(flat_ss, PARAMS, t).step(s)
         kvec = np.array([2.0 * np.pi / grid.length, 0.0])
@@ -295,8 +312,8 @@ class TestIntegrator:
 class TestEvolveDriver:
     def test_reports_and_decay(self, bumpy_ss):
         s0 = random_smooth_state(GRID, seed=6, amplitude=1e-2)
-        _, reports = evolve(s0, bumpy_ss, PARAMS, t_end=2.0, dt=0.05,
-                            report_every=10)
+        reports = evolve(s0, bumpy_ss, PARAMS, t_end=2.0, dt=0.05,
+                         report_every=10)
         assert reports[0].t == 0.0
         assert reports[-1].t == pytest.approx(2.0)
         assert reports[-1].hk_u < reports[0].hk_u
@@ -304,14 +321,13 @@ class TestEvolveDriver:
 
     def test_energy_lhs_controlled(self, bumpy_ss):
         s0 = random_smooth_state(GRID, seed=6, amplitude=1e-2)
-        _, reports = evolve(s0, bumpy_ss, PARAMS, t_end=2.0, dt=0.05)
+        reports = evolve(s0, bumpy_ss, PARAMS, t_end=2.0, dt=0.05)
         lhs0 = reports[0].energy_lhs
         assert max(r.energy_lhs for r in reports) <= 5.0 * lhs0
 
     def test_trajectory_kept_on_request(self, bumpy_ss):
         s0 = random_smooth_state(GRID, seed=6, amplitude=1e-3)
-        traj, _ = evolve(s0, bumpy_ss, PARAMS, t_end=0.5, dt=0.1,
-                         keep_trajectory=True)
+        traj, _ = report_states(s0, bumpy_ss, PARAMS, t_end=0.5, dt=0.1)
         assert len(traj) == 6
 
     @pytest.mark.parametrize("t_end,dt,times", [
@@ -321,14 +337,14 @@ class TestEvolveDriver:
     ])
     def test_final_report_reaches_t_end(self, bumpy_ss, t_end, dt, times):
         s0 = random_smooth_state(GRID, seed=6, amplitude=1e-3)
-        traj, reports = evolve(s0, bumpy_ss, PARAMS, t_end=t_end, dt=dt,
-                               keep_trajectory=True)
+        traj, reports = report_states(s0, bumpy_ss, PARAMS, t_end=t_end,
+                                      dt=dt)
         assert reports[-1].t == t_end
         if times is not None:
             assert [s.t for s in traj] == pytest.approx(times)
 
     def test_blowup_reports_partial_history(self, flat_ss):
-        s0 = single_mode_state(GRID, amplitude=0.9, with_velocity=True)
+        s0 = moving_mode_state(GRID, 0.9)
         with pytest.raises(EvolutionError) as exc:
             evolve(s0, flat_ss, PARAMS, t_end=50.0, dt=2.0)
         assert hasattr(exc.value, "reports")

@@ -11,9 +11,11 @@ from nsplab.cli import main
 from nsplab.config import ConfigError, ExperimentConfig
 from nsplab.pipeline import (HypothesisError, render_float, run_pipeline,
                              target_exponent, write_csv)
-from nsplab.semigroup import QuadratureError
+from nsplab.semigroup import (LinearDecayQuery, QuadratureError,
+                              decay_curve)
 from nsplab.spectral import Grid
 from nsplab.steady import gaussian_bump_doping
+from nsplab.thermo import FluidParams, GammaLaw
 
 REPO = Path(__file__).resolve().parents[1]
 BUNDLED = REPO / "configs" / "lemma44_p1.cfg"
@@ -220,6 +222,18 @@ class TestPipeline:
         assert manifest["failure"].startswith(
             "QuadratureError: velocity integral diverges at xi -> 0")
         assert "decay_vel.csv" not in manifest["files"]
+
+    def test_decay_reads_fluid(self, tmp_path):
+        # no [grid]: the decay fluid is [fluid] around rho_bar = 1
+        cfg = ExperimentConfig.parse(
+            "[fluid]\ngamma = 1.4\nmu = 0.5\n[decay.v]\np = 1\nsamples = 20\n")
+        run_pipeline(cfg, output_dir=tmp_path)
+        rows = (tmp_path / "decay_v.csv").read_text().splitlines()[1:]
+        got = [tuple(float(x) for x in row.split(",")) for row in rows]
+        want = decay_curve(LinearDecayQuery(p=1.0), np.geomspace(1e2, 1e4, 20),
+                           FluidParams(law=GammaLaw(1.4), mu=0.5))
+        assert got == want
+        assert got[0] == (100.0, pytest.approx(0.10418, abs=1e-5))
 
 
 class TestCli:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from nsplab.config import ExperimentConfig
 from nsplab.spectral import (Field, Grid, dealias, divergence, gradient,
                              irfftn, lp_norm, sobolev_norm)
 from nsplab.steady import (SteadySolveError, _Elliptic, cosine_doping,
-                           doping_from_name, flat_doping, gaussian_bump_doping,
-                           solve_steady, verify_steady, w2r_norm)
+                           flat_doping, gaussian_bump_doping, solve_steady,
+                           verify_steady, w2r_norm)
 from nsplab.thermo import FluidParams, GammaLaw
 
 GRID = Grid(dim=2, n=32)
@@ -47,10 +48,12 @@ class TestDopingPresets:
             cosine_doping(GRID, amplitude=1.5)
 
     def test_from_name(self):
-        d = doping_from_name(GRID, "gaussian-bump", amplitude=0.05)
+        def build(doping):
+            return ExperimentConfig({"doping": doping}).build_doping(GRID)
+        d = build({"preset": "gaussian-bump", "amplitude": "0.05"})
         assert "gaussian-bump" in d.descriptor
         with pytest.raises(ValueError, match="unknown doping preset"):
-            doping_from_name(GRID, "triangle")
+            build({"preset": "triangle"})
 
 
 class TestSolveSteady:

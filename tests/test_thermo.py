@@ -30,7 +30,7 @@ class TestGammaLaw:
         # closed-form enthalpy against the base-class adaptive integral
         for g in (1.3, 2.0, 2.7):
             law = GammaLaw(g)
-            ref = TabulatedLaw(p_fn=law.p, dp_fn=law.dp)
+            ref = TabulatedLaw(dp_fn=law.dp)
             z = np.linspace(0.4, 2.5, 7)
             np.testing.assert_allclose(law.h(z), ref.h(z), atol=1e-10)
 
@@ -40,14 +40,11 @@ class TestGammaLaw:
         eps = 1e-6
         num = (law.h(z + eps) - law.h(z - eps)) / (2 * eps)
         np.testing.assert_allclose(law.h_prime(z), num, rtol=1e-8)
-        num2 = (law.h_prime(z + eps) - law.h_prime(z - eps)) / (2 * eps)
-        np.testing.assert_allclose(law.h_second(z), num2, rtol=1e-7)
 
     def test_quadratic_law_has_constant_slope(self):
         law = GammaLaw(2.0)
         z = np.linspace(0.2, 3.0, 11)
         np.testing.assert_allclose(law.h_prime(z), 2.0, atol=1e-14)
-        np.testing.assert_allclose(law.h_second(z), 0.0, atol=1e-14)
 
 
 class TestFluidParams:
@@ -87,7 +84,7 @@ class TestRemainder:
         g = 1.6
         law = GammaLaw(g)
         shadow = TabulatedLaw(
-            p_fn=law.p, dp_fn=law.dp,
+            dp_fn=law.dp,
             d2p_fn=lambda z: g * (g - 1.0) * z ** (g - 2.0))
         rng = np.random.default_rng(4)
         rho_s = Field(GRID, 1.0 + 0.2 * rng.uniform(-1, 1, GRID.shape))
