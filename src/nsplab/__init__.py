@@ -20,8 +20,8 @@ from .semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
                         split_evolve_mode)
 from .evolution import (DiagnosticsConfig, EnergyReport, EvolutionError,
                         Integrator, PerturbationState, default_dt, evolve,
-                        random_smooth_state, rhs_nonlinear,
-                        single_mode_state, zero_state)
+                        random_smooth_state, single_mode_state,
+                        zero_state)
 from .config import ConfigError, ExperimentConfig
 from .pipeline import (DecayReport, HypothesisError, run_decay_query,
                        run_pipeline, target_exponent)

@@ -12,7 +12,8 @@ Byte layout (little-endian throughout):
     32      --    f64    payload, ncomp * n^dim values, C (row-major) order,
                          component index slowest
 
-Readers must reject unknown magic or version.
+Readers must reject unknown magic or version, an ncomp other than 1 or
+dim, and bytes after the payload.
 """
 
 from __future__ import annotations
@@ -47,11 +48,15 @@ def read_field(path) -> Field:
             raise ValueError(f"{path}: bad magic {magic!r}")
         if version != VERSION:
             raise ValueError(f"{path}: unsupported version {version}")
+        if ncomp not in (1, dim):
+            raise ValueError(f"{path}: ncomp {ncomp} is neither 1 nor dim {dim}")
         grid = Grid(dim=dim, n=n, length=length)
         count = ncomp * grid.npoints
         raw = fh.read(8 * count)
         if len(raw) != 8 * count:
             raise ValueError(f"{path}: truncated payload")
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the payload")
         data = np.frombuffer(raw, dtype="<f8", count=count)
     shape = grid.shape if ncomp == 1 else (ncomp,) + grid.shape
     return Field(grid, data.reshape(shape).astype(np.float64))

@@ -90,8 +90,7 @@ def cmd_stage(args):
 
 
 def cmd_linear_decay(args):
-    q = np.inf if args.q in ("inf", "Inf") else float(args.q)
-    query = LinearDecayQuery(ell=args.ell, p=args.p, q=q,
+    query = LinearDecayQuery(ell=args.ell, p=args.p, q=args.q,
                              component=args.component, parts=args.parts)
     times = np.geomspace(args.t_min, args.t_max, args.samples)
     curve, fit, report = run_decay_query(
@@ -158,7 +157,7 @@ def build_parser():
 
     p = sub.add_parser("linear-decay", help="decay curve of the linear flow")
     p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", default="2")
+    p.add_argument("--q", type=float, default=2.0)
     p.add_argument("--ell", type=float, default=0.0)
     p.add_argument("--component", default="velocity",
                    choices=["density", "velocity"])

@@ -156,12 +156,10 @@ class ExperimentConfig:
             if not name.startswith("decay."):
                 continue
             label = name.split(".", 1)[1]
-            q_raw = self.get(name, "q", str, "2")
-            q = np.inf if q_raw in ("inf", "Inf") else float(q_raw)
             out.append((label, LinearDecayQuery(
                 ell=self.get(name, "ell", float, 0.0),
                 p=self.get(name, "p", float, 1.0),
-                q=q,
+                q=self.get(name, "q", float, 2.0),
                 component=self.get(name, "component", str, "velocity"),
                 parts=self.get(name, "parts", str, "both"))))
         return out

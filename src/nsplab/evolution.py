@@ -4,8 +4,8 @@ diagnostics.
 
 The exponential (Lawson midpoint) integrator splits the right-hand side
 into a constant-coefficient linear part matching the Hodge-split mode
-symbols and `nonlinear_terms`; `rhs_nonlinear` assembles the whole
-right-hand side with its coefficients at rho_s, as an independent oracle.
+symbols, its coefficients frozen at rho_bar, and `nonlinear_terms`, which
+carries the rest, the doping-dependent linear terms included.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Field, Grid, dealias, divergence, grad_norm, gradient,
-                       inverse_transform, irfftn, lp_norm, poisson_gradient,
-                       real_layout, rfftn, sobolev_norm)
+from .spectral import (Field, Grid, dealias, grad_norm, inverse_transform,
+                       irfftn, lp_norm, poisson_gradient, real_layout, rfftn,
+                       sobolev_norm)
 from .steady import SteadyState
 from .semigroup import ModeSymbol, hodge_evolve, mode_exponential
 from .thermo import FluidParams, remainder
@@ -29,7 +29,6 @@ __all__ = [
     "zero_state",
     "single_mode_state",
     "random_smooth_state",
-    "rhs_nonlinear",
     "nonlinear_terms",
     "Background",
     "Integrator",
@@ -122,34 +121,6 @@ def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
     return PerturbationState(rho=scale * rho, u=scale * u)
 
 
-def _viscous(params, u: Field) -> Field:
-    """mu Lap u + (mu + mu') grad div u (vector output)."""
-    grid = u.grid
-    k = grid.wavevectors()
-    k2 = grid.wavenumber_magnitude() ** 2
-    spec = u.spectrum()
-    div_spec = sum(spec[a] * (1j * k[a]) for a in range(grid.dim))
-    out = np.empty_like(spec)
-    for a in range(grid.dim):
-        out[a] = -params.mu * k2 * spec[a] \
-            + (params.mu + params.mu_prime) * (1j * k[a]) * div_spec
-    return inverse_transform(grid, out)
-
-
-def _advection(u: Field) -> Field:
-    """Dealiased u . grad u."""
-    grid = u.grid
-    comps = []
-    for a in range(grid.dim):
-        g = gradient(u.component(a))
-        comps.append(np.sum(u.values * g.values, axis=0))
-    return dealias(Field(grid, np.stack(comps)))
-
-
-def _scalar_times_vector(s: np.ndarray, v: Field) -> Field:
-    return dealias(Field(v.grid, s[None, :] * v.values))
-
-
 class Background:
     """What the constant-coefficient form needs of the steady state and the
     fluid, evaluated once: rho_s - rho_bar, h'(rho_s) - h'(rho_bar),
@@ -194,40 +165,6 @@ def _viscous_hat(u_hat, bg: Background, out):
     for a in range(len(out)):
         np.multiply(bg.mu_lap, u_hat[a], out=div)
         out[a] += div
-
-
-def rhs_nonlinear(state: PerturbationState, ss: SteadyState,
-                  params: FluidParams):
-    """Time derivative (d rho / dt, d u / dt) of the perturbation system.
-
-    The coefficients are kept at rho_s and the terms assembled on the full
-    complex layout with dealiased products, independently of the
-    integrator: it is the oracle for `nonlinear_terms` plus the linear part
-    matching the mode symbols, which freeze the coefficients at rho_bar.
-    The two agree up to roundoff inside the 2/3 ball only, since this form
-    also dealiases its linear terms.
-    """
-    state.check(ss)
-    grid = state.grid
-    visc = _viscous(params, state.u)
-    grad_phi = state.grad_potential()
-    law = params.law
-    rho_s = ss.rho_s
-    total = state.rho.values + rho_s.values
-    adv = _advection(state.u)
-    grad_R = gradient(dealias(remainder(law, state.rho, rho_s)))
-    # d rho/dt = -div(rho_s u) - div(rho u)
-    drho = -(divergence(_scalar_times_vector(rho_s.values, state.u)).values
-             + divergence(_scalar_times_vector(state.rho.values, state.u)).values)
-    hp_s = np.asarray(law.h_prime(rho_s.values))
-    press = gradient(dealias(Field(grid, hp_s * state.rho.values)))
-    inv_coeff = dealias(Field(grid, 1.0 / rho_s.values))
-    visc_term = _scalar_times_vector(inv_coeff.values, visc)
-    inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_s.values))
-    du = (-press.values + visc_term.values + grad_phi.values
-          - adv.values - grad_R.values
-          + _scalar_times_vector(inv_jump.values, visc).values)
-    return Field(grid, drho), Field(grid, du)
 
 
 def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):

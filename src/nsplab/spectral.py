@@ -214,11 +214,6 @@ class Field:
             return self.values.reshape(self.ncomp, -1).mean(axis=1)
         return float(self.values.mean())
 
-    def component(self, i):
-        if not self.is_vector:
-            raise ValueError("scalar field has no components")
-        return Field(self.grid, self.values[i])
-
     def __mul__(self, scalar):
         return Field(self.grid, self.values * scalar)
 

@@ -68,3 +68,23 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_field(path)
+
+
+def test_rejects_bad_component_count(tmp_path):
+    grid = Grid(dim=3, n=8)
+    path = tmp_path / "c.nspf"
+    header = struct.pack("<8sIIIId", MAGIC, VERSION, 3, 2, 8, grid.length)
+    path.write_bytes(header + np.zeros(2 * grid.npoints).tobytes())
+    with pytest.raises(ValueError, match="ncomp 2") as err:
+        read_field(path)
+    assert str(path) in str(err.value)
+
+
+def test_rejects_trailing_bytes(tmp_path):
+    grid = Grid(dim=3, n=8)
+    path = tmp_path / "j.nspf"
+    write_field(path, Field(grid, np.zeros(grid.shape)))
+    path.write_bytes(path.read_bytes() + b"junk")
+    with pytest.raises(ValueError, match="trailing bytes") as err:
+        read_field(path)
+    assert str(path) in str(err.value)

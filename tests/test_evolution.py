@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from nsplab.evolution import (Background, DiagnosticsConfig, EvolutionError,
-                              Integrator, PerturbationState, _viscous,
-                              default_dt, evolve, initial_data_size,
-                              nonlinear_terms, random_smooth_state,
-                              rhs_nonlinear, single_mode_state, zero_state)
+                              Integrator, PerturbationState, default_dt,
+                              evolve, initial_data_size, nonlinear_terms,
+                              random_smooth_state, single_mode_state,
+                              zero_state)
 from nsplab.semigroup import ModeSymbol, hodge_evolve, mode_exponential
 from nsplab.spectral import (Field, Grid, dealias, divergence, gradient,
                              inverse_transform, irfftn, laplacian,
                              poisson_gradient, sobolev_norm)
 from nsplab.steady import (cosine_doping, flat_doping, gaussian_bump_doping,
                            solve_steady)
-from nsplab.thermo import FluidParams, GammaLaw
+from nsplab.thermo import FluidParams, GammaLaw, remainder
 
 GRID = Grid(dim=2, n=16)
 PARAMS = FluidParams(law=GammaLaw(2.0))
@@ -56,6 +56,67 @@ def report_states(*args, **kwargs):
                      snapshot_cb=lambda state, rep: states.append(state),
                      **kwargs)
     return states, reports
+
+
+def _viscous(params, u: Field) -> Field:
+    """mu Lap u + (mu + mu') grad div u (vector output)."""
+    grid = u.grid
+    k = grid.wavevectors()
+    k2 = grid.wavenumber_magnitude() ** 2
+    spec = u.spectrum()
+    div_spec = sum(spec[a] * (1j * k[a]) for a in range(grid.dim))
+    out = np.empty_like(spec)
+    for a in range(grid.dim):
+        out[a] = -params.mu * k2 * spec[a] \
+            + (params.mu + params.mu_prime) * (1j * k[a]) * div_spec
+    return inverse_transform(grid, out)
+
+
+def _advection(u: Field) -> Field:
+    """Dealiased u . grad u."""
+    grid = u.grid
+    comps = []
+    for a in range(grid.dim):
+        g = gradient(Field(grid, u.values[a]))
+        comps.append(np.sum(u.values * g.values, axis=0))
+    return dealias(Field(grid, np.stack(comps)))
+
+
+def _scalar_times_vector(s: np.ndarray, v: Field) -> Field:
+    return dealias(Field(v.grid, s[None, :] * v.values))
+
+
+def rhs_nonlinear(state: PerturbationState, ss, params: FluidParams):
+    """Time derivative (d rho / dt, d u / dt) of the perturbation system.
+
+    The coefficients are kept at rho_s and the terms assembled on the full
+    complex layout with dealiased products, independently of the
+    integrator: it is the oracle for `nonlinear_terms` plus the linear part
+    matching the mode symbols, which freeze the coefficients at rho_bar.
+    The two agree up to roundoff inside the 2/3 ball only, since this form
+    also dealiases its linear terms.
+    """
+    state.check(ss)
+    grid = state.grid
+    visc = _viscous(params, state.u)
+    grad_phi = state.grad_potential()
+    law = params.law
+    rho_s = ss.rho_s
+    total = state.rho.values + rho_s.values
+    adv = _advection(state.u)
+    grad_R = gradient(dealias(remainder(law, state.rho, rho_s)))
+    # d rho/dt = -div(rho_s u) - div(rho u)
+    drho = -(divergence(_scalar_times_vector(rho_s.values, state.u)).values
+             + divergence(_scalar_times_vector(state.rho.values, state.u)).values)
+    hp_s = np.asarray(law.h_prime(rho_s.values))
+    press = gradient(dealias(Field(grid, hp_s * state.rho.values)))
+    inv_coeff = dealias(Field(grid, 1.0 / rho_s.values))
+    visc_term = _scalar_times_vector(inv_coeff.values, visc)
+    inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_s.values))
+    du = (-press.values + visc_term.values + grad_phi.values
+          - adv.values - grad_R.values
+          + _scalar_times_vector(inv_jump.values, visc).values)
+    return Field(grid, drho), Field(grid, du)
 
 
 class TestStates:

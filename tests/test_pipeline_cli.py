@@ -107,6 +107,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="grid.n"):
             cfg.build_grid()
 
+    def test_q_inf(self):
+        cfg = ExperimentConfig.parse("[decay.sup]\nq = inf\n")
+        [(_, query)] = cfg.decay_queries()
+        assert query.q == np.inf
+
     def test_bundled_config_parses(self):
         cfg = ExperimentConfig.from_file(BUNDLED)
         queries = dict(cfg.decay_queries())
@@ -249,6 +254,21 @@ class TestCli:
         assert abs(payload["fitted_slope"] + 1.25) < 0.05
         assert payload["target"] == -1.25
         assert csv.exists()
+
+    def test_linear_decay_q_inf(self, capsys):
+        main(["linear-decay", "--q", "inf", "--t-max", "1000",
+              "--samples", "15"])
+        assert json.loads(capsys.readouterr().out)["q"] == np.inf
+
+    def test_verify_fast(self, capsys):
+        assert main(["verify", "--fast"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        fits = [line for line in lines
+                if line.startswith("[PASS] decay fit ")
+                and "runtime" not in line]
+        assert len(fits) == 12
+        assert all("(tol 0.01)" in line for line in fits)
+        assert not any(line.startswith("[FAIL]") for line in lines)
 
     def test_fit_subcommand(self, tmp_path, capsys):
         csv = tmp_path / "c.csv"
