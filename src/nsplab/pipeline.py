@@ -171,11 +171,13 @@ def _write_manifest(outdir: Path, produced, status, failure=None):
 def run_decay_query(query: LinearDecayQuery, times, params=None,
                     window=None, tolerance=0.05, label="query",
                     mode="lemma", r=None):
-    """Compute a decay curve, fit its exponent and compare with the target."""
-    curve = decay_curve(query, times, params)
-    fit = fit_exponent(curve, window)
+    """Compute a decay curve, fit its exponent and compare with the target.
+    The target comes first, so a query outside its hypotheses raises
+    before any quadrature."""
     target = target_exponent(query.ell, query.p, r=r, q=query.q,
                              component=query.component, mode=mode)
+    curve = decay_curve(query, times, params)
+    fit = fit_exponent(curve, window)
     report = DecayReport(
         label=label, ell=query.ell, p=query.p, q=float(query.q),
         component=query.component, parts=query.parts,

@@ -250,8 +250,8 @@ def irfftn(grid: Grid, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarra
     With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, then
     a last-axis `irfft`: scipy's passes without its hidden copy, same bits.
     The Lawson step's work arrays (states from a copy) and the temporaries
-    of `dealias`, `w2r_norm` and the steady operator's ik f_hat are inverted
-    so; the steady iterate, kept as `SteadyState.f`'s coefficients, is not."""
+    of `dealias` and `w2r_norm` are inverted so; the steady iterate, kept
+    as `SteadyState.f`'s coefficients, is not."""
     if not overwrite:
         return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
                                 norm="forward")

@@ -3,14 +3,15 @@
 The zero-velocity balance grad p(rho_s) = rho_s grad phi_s together with the
 Poisson equation reduces to the semilinear elliptic problem
 
-    div(h'(rho_s) grad rho_s) = rho_s - b,
+    div(h'(rho_s) grad rho_s) = Lap h(rho_s) = rho_s - b,
 
 solved here by a damped Picard sweep on f = rho_s - rho_bar:
 
-    (-h'(rho_bar) Lap + 1) f_new = div((h'(rho_s) - h'(rho_bar)) grad f) + (b - b_bar),
+    (-h'(rho_bar) Lap + 1) f_new = Lap R(f) + (b - b_bar),
 
-each sweep being one Fourier-multiplier inversion on the real-layout
-coefficients of f (see `_Elliptic`).  The potential is recovered as
+with R(f) = h(rho_bar + f) - h(rho_bar) - h'(rho_bar) f the Taylor remainder
+of the enthalpy, each sweep being one Fourier-multiplier inversion on the
+real-layout coefficients of f (see `_Elliptic`).  The potential is recovered as
 phi_s = h(rho_s) - mean(h(rho_s)) (mean-zero gauge).
 """
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .spectral import (Field, Grid, coeff_norm, dealias, divergence, grad_norm,
                        gradient, irfftn, lp_norm, real_layout, rfftn, sobolev_norm)
-from .thermo import FluidParams
+from .thermo import FluidParams, remainder
 
 __all__ = [
     "DopingProfile",
@@ -122,34 +123,38 @@ class SteadyState:
 class _Elliptic:
     """The steady equation on the real-layout coefficients f_hat of f.
 
-    `flux_div` gives D = div dealias(h'(rho_s) grad f) as
-    mask (ik . rfftn(h'(rho_s) irfftn(ik f_hat))), with ik f_hat formed in
-    the work array `ik_f` and inverted in place there; `defect` turns D
-    into the residual.  The next Picard iterate is
+    Since h'(rho_s) grad rho_s = grad h(rho_s), `flux_div` gives
+    D = dealias div(h'(rho_s) grad f) in enthalpy form, as the dealiased
+    Lap h(rho_s): D = mask (-|k|^2) (h'(rho_bar) f_hat + rfftn(R)), with
+    R = h(rho_bar + f) - h(rho_bar) - h'(rho_bar) f (`thermo.remainder`),
+    one forward scalar transform.  R, not h(rho_s), is transformed:
+    h(rho_s) - h'(rho_bar) f would cancel to about 1e-16 |h| before the
+    |k|^2 weight and lift the residual off its roundoff floor.  `defect`
+    turns D into the residual.  The next Picard iterate is
     sym (D + shift f_hat + (b - b_bar)^), with sym the symbol of
-    (-h'(rho_bar) Lap + 1)^{-1}, since div dealias(h'(rho_bar) grad f) =
-    -shift f_hat exactly (ik is zero at Nyquist entries, which lie outside
-    the mask).
+    (-h'(rho_bar) Lap + 1)^{-1} and shift = h'(rho_bar) mask |k|^2: the
+    h'(rho_bar) terms cancel, leaving sym (mask (-|k|^2) rfftn(R)
+    + (b - b_bar)^).
     """
 
     def __init__(self, params, doping):
         self.grid, self.params = doping.grid, params
-        self.lay = real_layout(self.grid)
-        hp_bar = float(params.law.h_prime(params.rho_bar))
-        k2 = self.lay.kmag ** 2
-        self.sym = 1.0 / (hp_bar * k2 + 1.0)
-        self.shift = hp_bar * self.lay.mask * k2
+        lay = real_layout(self.grid)
+        self.hp_bar = params.h_prime_bar
+        k2 = lay.kmag ** 2
+        self.sym = 1.0 / (self.hp_bar * k2 + 1.0)
+        self.shift = self.hp_bar * lay.mask * k2
+        self.lap = -(lay.mask * k2)
         self.b_dev = rfftn(self.grid, doping.b.values - doping.b_bar)
         self.mean_gap = doping.b_bar - params.rho_bar
-        self.ik_f = np.empty_like(self.lay.ik)
 
-    def flux_div(self, f_hat, rho_vals, out=None):
-        ik_f = np.multiply(self.lay.ik, f_hat, out=self.ik_f)
-        flux = irfftn(self.grid, ik_f, overwrite=True)
-        flux *= self.params.law.h_prime(rho_vals)
-        c = rfftn(self.grid, flux)
-        D = np.sum(np.multiply(self.lay.ik, c, out=c), axis=0, out=out)
-        return np.multiply(self.lay.mask, D, out=D)
+    def flux_div(self, f_hat, f_vals, out=None):
+        R = remainder(self.params.law, Field(self.grid, f_vals),
+                      self.params.rho_bar)
+        D = np.multiply(self.hp_bar, f_hat, out=out)
+        D += rfftn(self.grid, R.values)
+        D *= self.lap
+        return D
 
     def defect(self, D, f_hat, out=None):
         """Coefficients of D - (rho_s - b)."""
@@ -196,8 +201,7 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
         f_new = np.multiply(1.0 - omega, f_hat, out=spare)
         f_new += np.multiply(omega, target, out=target)
         f_vals = irfftn(grid, f_new)          # f_new is kept: no overwrite
-        rho_vals = rho_bar + f_vals
-        lo, hi = rho_vals.min(), rho_vals.max()
+        lo, hi = rho_bar + f_vals.min(), rho_bar + f_vals.max()
         if lo <= 0:
             raise SteadySolveError("total density left (0, inf) during iteration",
                                    history)
@@ -205,7 +209,7 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
             raise SteadySolveError(
                 "iterate left the admissible doping range "
                 f"[{b_lo - margin:.6g}, {b_hi + margin:.6g}]", history)
-        op.flux_div(f_new, rho_vals, out=D)
+        op.flux_div(f_new, f_vals, out=D)
         res = coeff_norm(grid, op.defect(D, f_new, out=work))
         history.append(res)
         if res > prev_res and omega > 0.0625:
@@ -220,7 +224,7 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
             f"no convergence within {max_iter} iterations "
             f"(last residual {history[-1]:.3e})", history)
 
-    rho_s = Field(grid, rho_vals)
+    rho_s = Field(grid, rho_bar + f_vals)
     h_vals = np.asarray(params.law.h(rho_s.values))
     phi_s = Field(grid, h_vals - h_vals.mean())
     return SteadyState(rho_s=rho_s, phi_s=phi_s,
@@ -235,10 +239,10 @@ def _newton_correct(op, picard_target):
     as preconditioner)."""
     g = picard_target
     for _ in range(4):
-        rho_vals = op.params.rho_bar + irfftn(op.grid, g)
-        if np.any(rho_vals <= 0):
+        f_vals = irfftn(op.grid, g)
+        if op.params.rho_bar + f_vals.min() <= 0:
             return picard_target
-        g = g + op.sym * op.defect(op.flux_div(g, rho_vals), g)
+        g = g + op.sym * op.defect(op.flux_div(g, f_vals), g)
     return g
 
 
@@ -281,8 +285,9 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
                   r: float = 1.2) -> SteadyReport:
     """Diagnostic report on a computed steady state (pure checks, no raise).
 
-    Only the residual stays on the full complex path (`gradient`,
-    `dealias`, `divergence`), independently of the solver.  The gradient
+    Only the residual stays on the full complex path, in the flux form
+    the solver does not use (`gradient`, `dealias`, `divergence`), so it
+    checks the solver against a second discretization.  The gradient
     balance is ||grad (h(rho_s) - phi_s)||_L2 from one real transform, and
     the other norms read the real-layout coefficients of ss.f."""
     grid = ss.rho_s.grid

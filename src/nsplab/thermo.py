@@ -165,8 +165,11 @@ def _remainder_gamma(gamma, rho_s, total):
         coeffs.append(coeffs[-1] * (p - j) / (j + 1))
     acc = np.full_like(xs, coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        acc = acc * xs + c
-    out[small] = acc * xs * xs
+        acc *= xs
+        acc += c
+    acc *= xs
+    acc *= xs
+    out[small] = acc
     xb = x[~small]
     L = np.log1p(xb)
     if p == 0.0:
@@ -178,18 +181,20 @@ def _remainder_gamma(gamma, rho_s, total):
     return g * rho_s ** p * out
 
 
-def remainder(law: PressureLaw, pert: Field, rho_s: Field) -> Field:
-    """Second-order Taylor residue of h around rho_s:
+def remainder(law: PressureLaw, pert: Field, rho_s: Field | float) -> Field:
+    """Second-order Taylor residue of h around rho_s (a field, or a
+    constant density such as rho_bar):
 
         R = int_{rho_s}^{pert + rho_s} h''(s) (pert + rho_s - s) ds
 
     so that h(pert + rho_s) = h(rho_s) + h'(rho_s) pert + R exactly.
     Closed form for gamma laws, fixed-order Gauss quadrature otherwise.
     """
-    total = pert.values + rho_s.values
+    rho_s = rho_s.values if isinstance(rho_s, Field) else float(rho_s)
+    total = pert.values + rho_s
     _check_positive(total, "total density")
     if isinstance(law, GammaLaw):
-        vals = _remainder_gamma(law.gamma, rho_s.values, total)
+        vals = _remainder_gamma(law.gamma, rho_s, total)
     else:
-        vals = _remainder_quadrature(law, rho_s.values, total)
+        vals = _remainder_quadrature(law, rho_s, total)
     return Field(pert.grid, vals)

@@ -255,6 +255,21 @@ class TestCli:
         assert payload["target"] == -1.25
         assert csv.exists()
 
+    def test_linear_decay_outside_hypotheses_fails_first(self, monkeypatch):
+        # the target is checked before the curve: no mode exponential runs
+        import nsplab.semigroup
+        calls = []
+
+        def counted(*args, _fn=nsplab.semigroup.expm2, **kwargs):
+            calls.append(1)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(nsplab.semigroup, "expm2", counted)
+        with pytest.raises(HypothesisError, match="requires the index r"):
+            main(["linear-decay", "--p", "1.4", "--mode", "theorem"])
+        assert calls == []
+        main(["linear-decay", "--t-max", "1000", "--samples", "15"])
+        assert calls
+
     def test_linear_decay_q_inf(self, capsys):
         main(["linear-decay", "--q", "inf", "--t-max", "1000",
               "--samples", "15"])
