@@ -466,6 +466,12 @@ def fit_exponent(curve, window=None) -> FitResult:
         raise ValueError("need at least 10 samples in the fit window")
     t = np.array([p[0] for p in pts])
     v = np.array([p[1] for p in pts])
+    bad = ~(np.isfinite(t) & (t > 0) & np.isfinite(v))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"fit sample {i} of the window (t = {t[i]:g}, "
+                         f"norm = {v[i]:g}) needs a finite time t > 0 and a "
+                         "finite norm")
     if np.any(v <= 0):
         raise ValueError("all norms must be positive for a log-log fit")
     x, y = np.log(t), np.log(v)

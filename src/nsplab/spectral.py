@@ -10,7 +10,9 @@ Two layouts are used, and this module is the only one that knows them:
 `Field.spectrum()` and the multipliers; `rfftn`/`irfftn` keep the real-FFT
 half grid (n, ..., n, n/2 + 1) of `Field.coefficients()`, which the norms
 and the time integrator work in, with the symbols of `real_layout`.  Every
-transform goes through `scipy.fft`.
+transform goes through `scipy.fft`, which the first transform imports:
+`import nsplab` loads no scipy module, and a run that makes no FFT never
+does.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from functools import lru_cache
 from math import isclose
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "Grid",
@@ -107,7 +108,8 @@ class Grid:
 
 @lru_cache(maxsize=32)
 def _modes(dim, n):
-    m = scipy.fft.fftfreq(n, d=1.0 / n)
+    m = np.arange(n, dtype=float)               # scipy.fft.fftfreq(n, 1/n)
+    m[n // 2:] -= n
     return np.stack(np.meshgrid(*([m] * dim), indexing="ij"))
 
 
@@ -228,11 +230,13 @@ def transform(f: Field) -> np.ndarray:
     """Discrete Fourier coefficients of a field (normalized by 1/n^dim)."""
     if not np.all(np.isfinite(f.values)):
         raise ValueError("non-finite values in field")
+    import scipy.fft
     return scipy.fft.fftn(f.values, axes=_axes(f.grid), norm="forward")
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray) -> Field:
     """Physical field from Fourier coefficients (imaginary residue dropped)."""
+    import scipy.fft
     vals = scipy.fft.ifftn(coeffs, axes=_axes(grid), norm="forward")
     return Field(grid, np.ascontiguousarray(vals.real))
 
@@ -241,6 +245,7 @@ def rfftn(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Real-layout coefficients of real samples, normalized like `transform`;
     leading axes (vector components, stacked fields) are transformed
     independently."""
+    import scipy.fft
     return scipy.fft.rfftn(values, s=grid.shape, axes=_axes(grid),
                            norm="forward")
 
@@ -252,6 +257,7 @@ def irfftn(grid: Grid, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarra
     The Lawson step's work arrays (states from a copy) and the temporaries
     of `dealias` and `w2r_norm` are inverted so; the steady iterate, kept
     as `SteadyState.f`'s coefficients, is not."""
+    import scipy.fft
     if not overwrite:
         return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
                                 norm="forward")

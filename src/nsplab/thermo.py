@@ -157,9 +157,9 @@ def _remainder_gamma(gamma, rho_s, total):
     p = 0.0 if np.isclose(g, 1.0) else g - 1.0
     rho_s = np.asarray(rho_s, dtype=float)
     x = np.asarray((total - rho_s) / rho_s, dtype=float)
-    out = np.empty_like(x)
     small = np.abs(x) < _SERIES_X
-    xs = x[small]
+    everywhere = bool(small.all())     # as on a steady iterate: no scatter
+    xs = x if everywhere else x[small]
     coeffs = [0.5 * (p - 1.0)]
     for j in range(2, _SERIES_TERMS + 1):
         coeffs.append(coeffs[-1] * (p - j) / (j + 1))
@@ -169,6 +169,9 @@ def _remainder_gamma(gamma, rho_s, total):
         acc += c
     acc *= xs
     acc *= xs
+    if everywhere:
+        return g * rho_s ** p * acc
+    out = np.empty_like(x)
     out[small] = acc
     xb = x[~small]
     L = np.log1p(xb)

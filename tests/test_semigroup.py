@@ -312,6 +312,17 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="positive"):
             fit_exponent(curve)
 
+    def test_names_a_non_finite_norm(self):
+        curve = [(float(t), float(t) ** -1.0) for t in range(1, 15)]
+        curve[6] = (7.0, float("nan"))
+        with pytest.raises(ValueError, match=r"sample 6 .*t = 7, norm = nan"):
+            fit_exponent(curve)
+
+    def test_names_a_sample_at_time_zero(self):
+        curve = [(float(t), 1.0 / (1.0 + t)) for t in range(14)]
+        with pytest.raises(ValueError, match=r"sample 0 .*t = 0,"):
+            fit_exponent(curve)
+
     def test_result_type(self):
         t = np.geomspace(1, 10, 12)
         fit = fit_exponent([(ti, ti ** -2.0) for ti in t])

@@ -42,6 +42,14 @@ class TestGrid:
         g = Grid(dim=1, n=8)
         np.testing.assert_allclose(
             g.wavevectors()[0], [0, 1, 2, 3, -4, -3, -2, -1], atol=1e-14)
+        # the mode numbers are scipy's fftfreq(n, 1/n), bit for bit
+        import scipy.fft
+        for n in (8, 16, 32, 64, 128, 256):
+            m = scipy.fft.fftfreq(n, 1.0 / n)
+            for dim in (1, 2, 3):
+                want = np.stack(np.meshgrid(*([m] * dim), indexing="ij"))
+                np.testing.assert_array_equal(Grid(dim=dim, n=n).mode_numbers(),
+                                              want)
 
 
 class TestTransforms:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsplab.spectral import Field, Grid
-from nsplab.thermo import FluidParams, GammaLaw, TabulatedLaw, remainder
+from nsplab.thermo import (FluidParams, GammaLaw, TabulatedLaw,
+                           _remainder_gamma, remainder)
 
 GRID = Grid(dim=2, n=8)
 
@@ -122,16 +123,50 @@ class TestRemainder:
                    - g * am ** (g - 2) * (z - am))
             assert abs(r - ref) <= 1e-13 * abs(ref)
 
+    @pytest.mark.parametrize("gamma", [1.0, 1.2, 1.4, 1.7, 2.5, 3.0])
+    def test_series_everywhere_matches_mixed_path(self, gamma):
+        # all |x| < _SERIES_X takes the series without the split; appending
+        # one |x| > 0.05 splits the same values, which must keep their bits
+        rng = np.random.default_rng(7)
+        rho_s = 1.0 + 0.3 * rng.uniform(-1, 1, 256)
+        total = rho_s * (1.0 + 0.036 * rng.uniform(-1, 1, 256))
+        small = _remainder_gamma(gamma, rho_s, total)
+        mixed = _remainder_gamma(gamma, np.append(rho_s, 1.0),
+                                 np.append(total, 1.2))
+        np.testing.assert_array_equal(mixed[:-1], small)
+
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ValueError, match="total density"):
             remainder(GammaLaw(1.4), const_field(-2.0), const_field(1.0))
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate is imported by PressureLaw.h, on first use only
+def test_import_leaves_quadrature_unloaded(tmp_path):
+    # scipy.integrate is imported by PressureLaw.h and scipy.fft by the
+    # first transform, on first use only: `import nsplab` and a decay-only
+    # run load no scipy module at all
     import nsplab
-    src = str(Path(nsplab.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import nsplab; "
-            "assert nsplab.__file__.startswith(sys.argv[1]); "
-            "assert 'scipy.integrate' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code, src], check=True)
+    src = Path(nsplab.__file__).resolve().parents[1]
+    config = src.parent / "configs" / "lemma44_p1.cfg"
+    code = """if True:
+        import sys
+        sys.path.insert(0, sys.argv[1])
+
+        def scipy_modules():
+            return [m for m in sys.modules
+                    if m == "scipy" or m.startswith("scipy.")]
+
+        import nsplab
+        assert nsplab.__file__.startswith(sys.argv[1])
+        assert scipy_modules() == [], scipy_modules()
+        from nsplab import cli
+        assert cli.main(["run", "--config", sys.argv[2],
+                         "--output", sys.argv[3]]) == 0
+        assert scipy_modules() == [], scipy_modules()
+        from nsplab import spectral
+        grid = spectral.Grid(dim=1, n=8)
+        spectral.rfftn(grid, grid.axes())
+        assert "scipy.fft" in sys.modules
+    """
+    proc = subprocess.run([sys.executable, "-c", code, str(src), str(config),
+                           str(tmp_path / "out")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
