@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -93,30 +94,28 @@ def cmd_linear_decay(args):
     query = LinearDecayQuery(ell=args.ell, p=args.p, q=args.q,
                              component=args.component, parts=args.parts)
     times = np.geomspace(args.t_min, args.t_max, args.samples)
-    curve, fit, report = run_decay_query(
+    curve, _, report = run_decay_query(
         query, times, window=(args.t_min, args.t_max),
         tolerance=args.tolerance, label="cli", mode=args.mode, r=args.r)
     if args.output:
         write_csv(args.output, ["t", "norm"], curve)
-    _emit({
-        "ell": query.ell, "p": query.p, "q": float(query.q),
-        "component": query.component, "parts": query.parts,
-        "fitted_slope": fit.slope, "fitted_stderr": fit.stderr,
-        "residual_rms": fit.residual_rms,
-        "target": report.target, "tolerance": report.tolerance,
-        "passed": report.passed,
-        "csv": args.output,
-    })
+    _emit({name: value for name, value in asdict(report).items()
+           if name not in ("label", "curve_file")} | {"csv": args.output})
     return 0 if report.passed else 1
 
 
 def cmd_fit(args):
     rows = []
     with open(args.csv, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-        for line in fh:
-            t, v = line.strip().split(",")
-            rows.append((float(t), float(v)))
+        fh.readline()                       # the header
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                if line.strip():            # blank lines are skipped
+                    t, v = map(float, line.split(","))
+                    rows.append((t, v))
+            except ValueError:
+                raise ValueError(f"{args.csv}, line {lineno}: expected "
+                                 f"'t,norm', got {line.strip()!r}") from None
     window = None
     if args.t_min is not None or args.t_max is not None:
         window = (args.t_min if args.t_min is not None else -np.inf,

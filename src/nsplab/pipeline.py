@@ -216,9 +216,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
             ss = solve_steady(
                 params, doping,
                 tol=config.get("solver", "tol", float, 1e-10),
-                max_iter=config.get("solver", "max_iter", int, 200),
-                relaxation=config.get("solver", "relaxation", float, 1.0),
-                newton=config.get("solver", "newton", bool, False))
+                max_iter=config.get("solver", "max_iter", int, 200))
             write_field(outdir / "rho_s.nspf", ss.rho_s)
             write_field(outdir / "phi_s.nspf", ss.phi_s)
             produced += ["rho_s.nspf", "phi_s.nspf"]
@@ -227,6 +225,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
             with open(outdir / "steady.json", "w", encoding="utf-8") as fh:
                 json.dump({"residual_l2": ss.residual_l2,
                            "iterations": ss.iterations,
+                           "truncation_defect": ss.truncation_defect,
                            "residual_history": ss.residual_history,
                            "report": asdict(report)}, fh, indent=2)
                 fh.write("\n")
@@ -234,6 +233,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
             summary["stages"]["steady"] = {
                 "doping": doping.descriptor, "rho_bar": ss.rho_bar,
                 "iterations": ss.iterations, "residual_l2": ss.residual_l2,
+                "truncation_defect": ss.truncation_defect,
                 "bounds_ok": report.bounds_ok,
                 "grad_rho_hk": report.grad_rho_hk,
                 "w2r_over_lr": report.ratio_w2r_lr,

@@ -117,6 +117,7 @@ class SteadyState:
     rho_bar: float
     residual_l2: float            # Parseval L2 defect (see solve_steady)
     iterations: int
+    truncation_defect: float      # the part of residual_l2 no sweep reduces
     residual_history: list = dc_field(default_factory=list)
 
 
@@ -134,7 +135,8 @@ class _Elliptic:
     sym (D + shift f_hat + (b - b_bar)^), with sym the symbol of
     (-h'(rho_bar) Lap + 1)^{-1} and shift = h'(rho_bar) mask |k|^2: the
     h'(rho_bar) terms cancel, leaving sym (mask (-|k|^2) rfftn(R)
-    + (b - b_bar)^).
+    + (b - b_bar)^).  Outside the mask the iterate is sym (b - b_bar)^, so
+    the defect there is (1 - sym)(b - b_bar)^, of norm `truncation_defect`.
     """
 
     def __init__(self, params, doping):
@@ -145,8 +147,11 @@ class _Elliptic:
         self.sym = 1.0 / (self.hp_bar * k2 + 1.0)
         self.shift = self.hp_bar * lay.mask * k2
         self.lap = -(lay.mask * k2)
+        self.mask = lay.mask
         self.b_dev = rfftn(self.grid, doping.b.values - doping.b_bar)
         self.mean_gap = doping.b_bar - params.rho_bar
+        self.truncation_defect = coeff_norm(
+            self.grid, (1.0 - self.sym) * ~lay.mask * self.b_dev)
 
     def flux_div(self, f_hat, f_vals, out=None):
         R = remainder(self.params.law, Field(self.grid, f_vals),
@@ -165,18 +170,19 @@ class _Elliptic:
 
 
 def solve_steady(params: FluidParams, doping: DopingProfile,
-                 tol: float = 1e-10, max_iter: int = 200,
-                 relaxation: float = 1.0, newton: bool = False) -> SteadyState:
-    """Damped Picard (optionally Newton-accelerated) solve of the steady
-    elliptic equation on the real-layout coefficients of f.  One operator
-    evaluation per sweep gives both the residual of the iterate and the
-    next Picard target.  The sweeps stop when the H^2 norm of the update or
-    the residual falls below tol.  The residual (`residual_l2`) is the L2
-    defect of the full equation read from the coefficients by Parseval,
-    below the roundoff floor of the grid; `verify_steady` recomputes it on
-    the grid as an independent check."""
+                 tol: float = 1e-10, max_iter: int = 200) -> SteadyState:
+    """Damped Picard solve of the steady equation on the real-layout
+    coefficients of f: one operator evaluation per sweep gives the residual
+    of the iterate and the next target, and the damping halves (never below
+    1/16) whenever the residual rises.  The sweeps stop when the Galerkin
+    residual, the defect inside the 2/3 mask, is below tol.  `residual_l2`
+    is the full L2 defect by Parseval: the Galerkin part and the
+    `truncation_defect`, which no sweep reduces.  `verify_steady` recomputes
+    it on the grid as an independent check."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = doping.grid
     rho_bar = params.rho_bar
     if not np.isclose(rho_bar, doping.b_bar, rtol=1e-12, atol=1e-12):
@@ -189,15 +195,12 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
 
     # f = 0, its operator D, and two work arrays reused by every sweep
     f_hat, D, spare, work = (np.zeros_like(op.b_dev) for _ in range(4))
-    omega = relaxation
+    omega = 1.0
     history = []
-    prev_res = np.inf
     for it in range(1, max_iter + 1):
         target = np.add(D, np.multiply(op.shift, f_hat, out=work), out=work)
         target += op.b_dev
         np.multiply(op.sym, target, out=target)
-        if newton:
-            target = _newton_correct(op, target)
         f_new = np.multiply(1.0 - omega, f_hat, out=spare)
         f_new += np.multiply(omega, target, out=target)
         f_vals = irfftn(grid, f_new)          # f_new is kept: no overwrite
@@ -211,13 +214,11 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
                 f"[{b_lo - margin:.6g}, {b_hi + margin:.6g}]", history)
         op.flux_div(f_new, f_vals, out=D)
         res = coeff_norm(grid, op.defect(D, f_new, out=work))
-        history.append(res)
-        if res > prev_res and omega > 0.0625:
+        if history and res > history[-1] and omega > 0.0625:
             omega *= 0.5           # automatic damping on residual increase
-        update = coeff_norm(grid, np.subtract(f_new, f_hat, out=work), 2)
+        history.append(res)
         spare, f_hat = f_hat, f_new
-        prev_res = res
-        if update < tol or res < tol:
+        if coeff_norm(grid, np.multiply(op.mask, work, out=work)) < tol:
             break
     else:
         raise SteadySolveError(
@@ -229,21 +230,9 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     phi_s = Field(grid, h_vals - h_vals.mean())
     return SteadyState(rho_s=rho_s, phi_s=phi_s,
                        f=Field(grid, f_vals, _coeffs=f_hat), rho_bar=rho_bar,
-                       residual_l2=history[-1] if history else 0.0,
-                       iterations=len(history), residual_history=history)
-
-
-def _newton_correct(op, picard_target):
-    """Refine the Picard target by four preconditioned corrections of the
-    full residual (inexact Newton with the constant-coefficient operator
-    as preconditioner)."""
-    g = picard_target
-    for _ in range(4):
-        f_vals = irfftn(op.grid, g)
-        if op.params.rho_bar + f_vals.min() <= 0:
-            return picard_target
-        g = g + op.sym * op.defect(op.flux_div(g, f_vals), g)
-    return g
+                       residual_l2=history[-1], iterations=len(history),
+                       truncation_defect=op.truncation_defect,
+                       residual_history=history)
 
 
 @dataclass

@@ -190,6 +190,7 @@ class TestPipeline:
         steady = json.loads((outdir / "steady.json").read_text())
         assert len(steady["residual_history"]) == steady["iterations"] >= 1
         assert steady["residual_history"][-1] == steady["residual_l2"]
+        assert 0 <= steady["truncation_defect"] <= steady["residual_l2"]
 
     def test_binary_fields_readable(self, result):
         outdir, _ = result
@@ -216,6 +217,15 @@ class TestPipeline:
         assert manifest["status"] == "failed"
         assert "failure" in manifest
         assert "rho_s.nspf" in manifest["files"]
+
+    def test_removed_solver_keys_are_ignored(self, tmp_path):
+        # newton and relaxation configure nothing any more; a config that
+        # still sets them runs to the same steady state
+        legacy = BUMP + "\n[solver]\nnewton = true\nrelaxation = 0.5\n"
+        for name, text in (("plain", BUMP), ("legacy", legacy)):
+            run_pipeline(ExperimentConfig.parse(text), output_dir=tmp_path / name)
+        assert ((tmp_path / "legacy" / "rho_s.nspf").read_bytes()
+                == (tmp_path / "plain" / "rho_s.nspf").read_bytes())
 
     def test_divergent_query_fails_by_name(self, tmp_path):
         cfg = ExperimentConfig.parse(
@@ -294,6 +304,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["slope"] == pytest.approx(-0.5, abs=1e-10)
 
+    def test_fit_skips_blank_lines_and_names_bad_rows(self, tmp_path, capsys):
+        csv = tmp_path / "c.csv"
+        t = np.geomspace(1, 100, 20)
+        write_csv(csv, ["t", "norm"], [(ti, 2.0 * ti ** -0.5) for ti in t])
+        rows = csv.read_text().splitlines()
+        csv.write_text("\n".join(rows[:5] + [""] + rows[5:]) + "\n\n")
+        assert main(["fit", "--csv", str(csv)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n"] == 20
+        assert payload["slope"] == pytest.approx(-0.5, abs=1e-10)
+        csv.write_text("\n".join(rows[:3] + ["2,0.5,7"] + rows[3:]) + "\n")
+        with pytest.raises(ValueError,
+                           match=r"c\.csv, line 4: expected 't,norm', got '2,0.5,7'"):
+            main(["fit", "--csv", str(csv)])
+
     def test_steady_subcommand(self, tmp_path, capsys):
         rc = main(["steady", "--dim", "2", "--n", "16",
                    "--doping", "cosine", "--amplitude", "0.05",
@@ -355,6 +380,18 @@ class TestCli:
             assert actual == digest, name
         assert (manifest["files"]["final_u.nspf"]
                 == manifest["files"]["state_0001_u.nspf"])
+
+    def test_run_names_a_bad_max_iter(self, tmp_path):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(BUMP + "\n[solver]\nmax_iter = 0\n")
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            main(["run", "--config", str(cfg_path),
+                  "--output", str(tmp_path / "out")])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"] == (
+            "ValueError: max_iter must be at least 1, got 0")
+        assert set(manifest["files"]) == {"config_echo.cfg"}
 
     def test_evolve_failure_leaves_partial_manifest(self, tmp_path):
         # the blow-up of TestPipeline.test_partial_manifest_on_failure
