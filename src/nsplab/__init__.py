@@ -6,7 +6,7 @@ evolution with energy and weighted-decay diagnostics."""
 from .spectral import (Field, Grid, MeanZeroError, dealias, divergence,
                        frac_derivative, gn_interpolation_check, grad_norm,
                        gradient, inverse_laplacian, laplacian, lp_norm,
-                       poisson_gradient, sobolev_norm)
+                       sobolev_norm)
 from .arrayio import read_field, write_field
 from .thermo import (FluidParams, GammaLaw, PressureLaw, TabulatedLaw,
                      remainder)

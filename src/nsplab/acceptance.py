@@ -14,8 +14,8 @@ from .evolution import (DiagnosticsConfig, Integrator, evolve,
 from .pipeline import run_decay_query, target_exponent
 from .semigroup import (LinearDecayQuery, ModeSymbol, evolve_full_symbol,
                         expm2, shared_exponentials, split_evolve_mode)
-from .spectral import (Field, Grid, frac_derivative, gn_interpolation_check,
-                       laplacian, lp_norm)
+from .spectral import (Field, Grid, coeff_norm, frac_derivative,
+                       gn_interpolation_check, laplacian, lp_norm)
 from .steady import gaussian_bump_doping, flat_doping, solve_steady, verify_steady
 from .thermo import FluidParams, GammaLaw, TabulatedLaw, remainder
 
@@ -310,7 +310,7 @@ def gates_spectral() -> list:
     for _ in range(20):
         f = Field(grid, rng.normal(size=grid.shape))
         phys = lp_norm(f, 2.0)
-        spec = np.sqrt(grid.length ** grid.dim * np.sum(np.abs(f.spectrum()) ** 2))
+        spec = coeff_norm(grid, f.coefficients())
         worst = max(worst, abs(phys - spec) / max(phys, 1e-300))
     out.append(_gate("Parseval identity", worst < 1e-12,
                      f"max relative deviation {worst:.3e} (tol 1e-12)"))

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Field, Grid, dealias, grad_norm, inverse_transform,
-                       irfftn, lp_norm, poisson_gradient, real_layout, rfftn,
-                       sobolev_norm)
+from .spectral import (Field, Grid, dealias, frac_derivative, grad_norm,
+                       inverse_laplacian, inverse_transform, lp_norm,
+                       real_layout, sobolev_norm, transform)
 from .steady import SteadyState
 from .semigroup import ModeSymbol, hodge_evolve, mode_exponential
 from .thermo import FluidParams, remainder
@@ -68,11 +68,7 @@ class PerturbationState:
 
     def potential(self) -> Field:
         """Mean-zero Phi with Lap Phi = rho."""
-        from .spectral import inverse_laplacian
         return inverse_laplacian(self.rho)
-
-    def grad_potential(self) -> Field:
-        return poisson_gradient(self.rho)
 
     def check(self, ss: SteadyState):
         if abs(self.rho.mean()) > 1e-12:
@@ -100,19 +96,26 @@ def single_mode_state(grid: Grid, mode: int = 1,
 
 def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
                         band: int = 3) -> PerturbationState:
-    """Random band-limited state scaled so ||(rho, u)||_{H^4} = amplitude."""
+    """Random band-limited state scaled so ||(rho, u)||_{H^4} = amplitude.
+
+    Each scalar draws its coefficients c_m on the full grid of modes and
+    keeps their Hermitian part (c_m + conj c_{-m}) / 2, the real field's,
+    on the half grid."""
     rng = np.random.default_rng(seed)
     m = grid.mode_numbers()
     inband = np.all(np.abs(m) <= band, axis=0)
     inband[(0,) * grid.dim] = False
+    axes, half = tuple(range(grid.dim)), grid.n // 2 + 1
 
     def one_scalar():
         spec = np.zeros(grid.shape, dtype=complex)
         phase = rng.uniform(0, 2 * np.pi, size=grid.shape)
         mag = rng.uniform(0.5, 1.0, size=grid.shape)
         spec[inband] = (mag * np.exp(1j * phase))[inband]
-        f = inverse_transform(grid, spec)        # real part enforces symmetry
-        return f.values - f.values.mean()
+        partner = np.roll(np.flip(spec, axes), 1, axes)      # c_{-m} at m
+        hermitian = 0.5 * (spec + np.conj(partner))[..., :half]
+        values = inverse_transform(grid, hermitian, overwrite=True)
+        return values - values.mean()
 
     rho = Field(grid, one_scalar())
     u = Field(grid, np.stack([one_scalar() for _ in range(grid.dim)]))
@@ -173,7 +176,7 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     the mode symbols.
 
     rho, u are one stage's physical samples and rho_hat, u_hat their
-    `rfftn` coefficients.  grad u, the viscous term and 1/(rho_s + rho) -
+    `transform` coefficients.  grad u, the viscous term and 1/(rho_s + rho) -
     1/rho_bar, masked into bg.hat by `dealias`, come back in one in-place
     inverse transform there; the quadratic products go forward in one,
     summed where they share a symbol, and are dealiased by the 2/3 mask.
@@ -192,7 +195,7 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     np.divide(1.0, s, out=s)
     s -= 1.0 / params.rho_bar
     dealias(Field(grid, s), out=hat[-1])
-    phys = irfftn(grid, hat, overwrite=True)
+    phys = inverse_transform(grid, hat, overwrite=True)
     grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
     visc, inv_jump = phys[dim * dim:-1], phys[-1]
 
@@ -208,7 +211,7 @@ def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
     np.multiply(bg.hp_jump, rho, out=scal)
     scal += R
     del phys, grad_u, visc, inv_jump     # free before the forward transform
-    c = rfftn(grid, prod)
+    c = transform(grid, prod)
 
     # N2 = mask c_mom - ik_mask c_scal, then N1 = -ik_mask . c_flux over c_scal
     n1, n2 = c[2 * dim], c[dim:2 * dim]
@@ -240,8 +243,8 @@ class Integrator:
     """
 
     def __init__(self, ss: SteadyState, params: FluidParams, dt: float):
-        if dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < dt < np.inf:
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         self.ss = ss
         self.params = params
         self.dt = dt
@@ -282,7 +285,7 @@ class Integrator:
         # one in-place inverse of a copy; the state keeps rho_hat, u_hat
         grid, work = self.grid, self.bg.state_hat
         np.concatenate((rho_hat[None], u_hat), out=work)
-        values = irfftn(grid, work, overwrite=True)
+        values = inverse_transform(grid, work, overwrite=True)
         return PerturbationState(
             rho=Field(grid, values[0], _coeffs=rho_hat),
             u=Field(grid, values[1:], _coeffs=u_hat), t=t)
@@ -358,12 +361,11 @@ class EnergyReport:
 
 def _instant_diagnostics(state: PerturbationState, cfg: DiagnosticsConfig):
     rho, u = state.rho, state.u
-    grad_phi = state.grad_potential()
     k = cfg.k
     d = {
         "hk_rho": sobolev_norm(rho, k),
         "hk_u": sobolev_norm(u, k),
-        "grad_phi_l2": grad_norm(grad_phi, 0.0),
+        "grad_phi_l2": grad_norm(rho, -1.0),      # ||grad Delta^{-1} rho||
         "rho_l2": grad_norm(rho, 0.0),
         "u_l2": grad_norm(u, 0.0),
         "rho_linf": lp_norm(rho, np.inf),
@@ -382,11 +384,10 @@ def _instant_diagnostics(state: PerturbationState, cfg: DiagnosticsConfig):
 def initial_data_size(state: PerturbationState, cfg: DiagnosticsConfig) -> float:
     """K0 = ||(grad^{-1} rho_0, u_0)||_{L^p} + ||(rho_0, u_0)||_{H^k}
     + ||grad Phi_0||_{L^2}."""
-    from .spectral import frac_derivative
     ginv = frac_derivative(state.rho, -1.0)
     lp = lp_norm(ginv, cfg.p) + lp_norm(state.u, cfg.p)
     hk = sobolev_norm(state.rho, cfg.k) + sobolev_norm(state.u, cfg.k)
-    return lp + hk + grad_norm(state.grad_potential(), 0.0)
+    return lp + hk + grad_norm(state.rho, -1.0)
 
 
 def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
@@ -400,11 +401,13 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
     reported state is passed with its report to ``snapshot_cb(state, report)``.
     On blow-up or positivity loss the run stops and the partial reports are
     returned inside the raised EvolutionError (attribute ``reports``)."""
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0.0 <= t_end < np.inf:
+        raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
     cfg = diagnostics or DiagnosticsConfig()
     if dt is None:
         dt = default_dt(params, initial.grid)
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     ratio = t_end / dt
     nfull = round(ratio)
     shortened = abs(ratio - nfull) > 1e-9 * ratio

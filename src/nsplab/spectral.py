@@ -5,11 +5,10 @@ Fourier-series coefficients c_k with f(x) = sum_k c_k exp(i k.x), i.e. the
 raw FFT divided by the number of grid points, so that the L^2 Parseval
 identity reads ||f||^2 = L^dim * sum |c_k|^2.
 
-Two layouts are used, and this module is the only one that knows them:
-`transform`/`inverse_transform` keep the full complex grid (n, ..., n) of
-`Field.spectrum()` and the multipliers; `rfftn`/`irfftn` keep the real-FFT
-half grid (n, ..., n, n/2 + 1) of `Field.coefficients()`, which the norms
-and the time integrator work in, with the symbols of `real_layout`.  Every
+One layout is used, and this module is the only one that knows it: the
+real-FFT half grid (n, ..., n, n/2 + 1) of `transform`/`inverse_transform`
+and `Field.coefficients()`, whose symbols are `real_layout`'s.  The
+multipliers, the norms and the time integrator all work there.  Every
 transform goes through `scipy.fft`, which the first transform imports:
 `import nsplab` loads no scipy module, and a run that makes no FFT never
 does.
@@ -30,15 +29,12 @@ __all__ = [
     "RealLayout",
     "transform",
     "inverse_transform",
-    "rfftn",
-    "irfftn",
     "real_layout",
     "frac_derivative",
     "gradient",
     "divergence",
     "laplacian",
     "inverse_laplacian",
-    "poisson_gradient",
     "lp_norm",
     "grad_norm",
     "sobolev_norm",
@@ -94,13 +90,6 @@ class Grid:
         ax = self.axes()
         return np.stack(np.meshgrid(*([ax] * self.dim), indexing="ij"))
 
-    def wavevectors(self):
-        """Wavevector components k = (2 pi / L) m, shape (dim, n, ..., n)."""
-        return _wavevectors(self.dim, self.n, self.length)
-
-    def wavenumber_magnitude(self):
-        return _kmag(self.dim, self.n, self.length)
-
     def mode_numbers(self):
         """Integer mode numbers m per axis, shape (dim, n, ..., n)."""
         return _modes(self.dim, self.n)
@@ -113,27 +102,16 @@ def _modes(dim, n):
     return np.stack(np.meshgrid(*([m] * dim), indexing="ij"))
 
 
-@lru_cache(maxsize=32)
-def _wavevectors(dim, n, length):
-    return (2.0 * np.pi / length) * _modes(dim, n)
-
-
-@lru_cache(maxsize=32)
-def _kmag(dim, n, length):
-    k = _wavevectors(dim, n, length)
-    return np.sqrt(np.sum(k * k, axis=0))
-
-
 @dataclass(frozen=True)
 class RealLayout:
-    """Symbols on the real-FFT half grid of `rfftn`.
+    """Symbols on the real-FFT half grid of `transform`.
 
     The last axis holds modes 0..n/2; its entry n/2 and every entry with
     |m_a| = n/2 on another axis is a Nyquist mode, whose partner -m is the
-    mode itself.  The complex path drops the odd part of a symbol there
-    when it keeps the real part of `ifftn`, so ``ik`` holds i k with those
-    entries zeroed, and ``k_nyquist`` the components it dropped: an even
-    product k_a k_b survives as k0_a k0_b + kN_a kN_b, with k0 = ik / i.
+    mode itself.  A real field keeps only the even part of a symbol there,
+    so ``ik`` holds i k with those entries zeroed, and ``k_nyquist`` the
+    components it dropped: an even product k_a k_b survives as
+    k0_a k0_b + kN_a kN_b, with k0 = ik / i.
     """
 
     ik: np.ndarray            # (dim, n, ..., n/2 + 1); zero at Nyquist entries
@@ -169,13 +147,12 @@ class Field:
     """Real scalar or vector samples on a grid.
 
     Vector fields carry the component axis first: values.shape is either
-    grid.shape or (ncomp,) + grid.shape.  The spectrum and the real-layout
-    coefficients are cached lazily.
+    grid.shape or (ncomp,) + grid.shape.  The real-layout coefficients are
+    cached lazily.
     """
 
     grid: Grid
     values: np.ndarray
-    _spectrum: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
     _coeffs: np.ndarray | None = dc_field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,17 +175,12 @@ class Field:
     def ncomp(self):
         return self.values.shape[0] if self.is_vector else 1
 
-    def spectrum(self):
-        if self._spectrum is None:
-            self._spectrum = transform(self)
-        return self._spectrum
-
     def coefficients(self):
-        """Real-layout (`rfftn`) coefficients."""
+        """Real-layout (`transform`) coefficients."""
         if self._coeffs is None:
             if not np.all(np.isfinite(self.values)):
                 raise ValueError("non-finite values in field")
-            self._coeffs = rfftn(self.grid, self.values)
+            self._coeffs = transform(self.grid, self.values)
         return self._coeffs
 
     def mean(self):
@@ -226,23 +198,8 @@ def _axes(grid):
     return tuple(range(-grid.dim, 0))
 
 
-def transform(f: Field) -> np.ndarray:
-    """Discrete Fourier coefficients of a field (normalized by 1/n^dim)."""
-    if not np.all(np.isfinite(f.values)):
-        raise ValueError("non-finite values in field")
-    import scipy.fft
-    return scipy.fft.fftn(f.values, axes=_axes(f.grid), norm="forward")
-
-
-def inverse_transform(grid: Grid, coeffs: np.ndarray) -> Field:
-    """Physical field from Fourier coefficients (imaginary residue dropped)."""
-    import scipy.fft
-    vals = scipy.fft.ifftn(coeffs, axes=_axes(grid), norm="forward")
-    return Field(grid, np.ascontiguousarray(vals.real))
-
-
-def rfftn(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Real-layout coefficients of real samples, normalized like `transform`;
+def transform(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Real-layout coefficients of real samples, normalized by 1/n^dim;
     leading axes (vector components, stacked fields) are transformed
     independently."""
     import scipy.fft
@@ -250,13 +207,14 @@ def rfftn(grid: Grid, values: np.ndarray) -> np.ndarray:
                            norm="forward")
 
 
-def irfftn(grid: Grid, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """Real samples from real-layout coefficients (inverse of `rfftn`).
+def inverse_transform(grid: Grid, coeffs: np.ndarray,
+                      overwrite: bool = False) -> np.ndarray:
+    """Real samples from real-layout coefficients (inverse of `transform`).
     With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, then
     a last-axis `irfft`: scipy's passes without its hidden copy, same bits.
-    The Lawson step's work arrays (states from a copy) and the temporaries
-    of `dealias` and `w2r_norm` are inverted so; the steady iterate, kept
-    as `SteadyState.f`'s coefficients, is not."""
+    The Lawson step's work arrays (states from a copy), the multipliers'
+    products and the temporaries of `dealias` and `w2r_norm` are inverted
+    so; the steady iterate, kept as `SteadyState.f`'s coefficients, is not."""
     import scipy.fft
     if not overwrite:
         return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
@@ -273,68 +231,51 @@ def _require_mean_zero(f, what):
         raise MeanZeroError(f"mean-zero required for {what}")
 
 
+def _apply(f: Field, sym, contract=False) -> Field:
+    """The field whose coefficients are f's times the half-grid symbol
+    ``sym``, summed over the component axis with ``contract``; the product
+    is a temporary, inverted in place."""
+    hat = f.coefficients() * sym
+    if contract:
+        hat = hat.sum(axis=0)
+    return Field(f.grid, inverse_transform(f.grid, hat, overwrite=True))
+
+
 def frac_derivative(f: Field, ell: float) -> Field:
     """|k|^ell multiplier; for ell < 0 requires a mean-zero field."""
-    kmag = f.grid.wavenumber_magnitude()
-    spec = f.spectrum()
     if ell < 0:
         _require_mean_zero(f, f"negative-order derivative |k|^{ell}")
     with np.errstate(divide="ignore"):
-        sym = kmag ** ell
+        sym = real_layout(f.grid).kmag ** ell
     if ell < 0:
-        sym = sym.copy()
         sym[(0,) * f.grid.dim] = 0.0
-    elif ell == 0:
-        sym = np.ones_like(kmag)
-    return inverse_transform(f.grid, spec * sym)
+    return _apply(f, sym)
 
 
 def gradient(f: Field) -> Field:
     """Exact spectral gradient; scalar -> vector field."""
     if f.is_vector:
         raise ValueError("gradient of a vector field not supported; use per component")
-    k = f.grid.wavevectors()
-    spec = f.spectrum()
-    out = np.stack([spec * (1j * k[a]) for a in range(f.grid.dim)])
-    return inverse_transform(f.grid, out)
+    return _apply(f, real_layout(f.grid).ik)
 
 
 def divergence(f: Field) -> Field:
     if not f.is_vector or f.ncomp != f.grid.dim:
         raise ValueError("divergence needs a dim-component vector field")
-    k = f.grid.wavevectors()
-    spec = f.spectrum()
-    out = sum(spec[a] * (1j * k[a]) for a in range(f.grid.dim))
-    return inverse_transform(f.grid, out)
+    return _apply(f, real_layout(f.grid).ik, contract=True)
 
 
 def laplacian(f: Field) -> Field:
-    k2 = f.grid.wavenumber_magnitude() ** 2
-    return inverse_transform(f.grid, f.spectrum() * (-k2))
+    return _apply(f, -real_layout(f.grid).kmag ** 2)
 
 
 def inverse_laplacian(f: Field) -> Field:
     """Delta^{-1} on mean-zero fields (zero mode projected out)."""
     _require_mean_zero(f, "inverse Laplacian")
-    k2 = f.grid.wavenumber_magnitude() ** 2
     with np.errstate(divide="ignore"):
-        sym = -1.0 / k2
-    sym = sym.copy()
+        sym = -1.0 / real_layout(f.grid).kmag ** 2
     sym[(0,) * f.grid.dim] = 0.0
-    return inverse_transform(f.grid, f.spectrum() * sym)
-
-
-def poisson_gradient(f: Field) -> Field:
-    """grad Delta^{-1} f for mean-zero scalar f (vector output)."""
-    _require_mean_zero(f, "grad inverse Laplacian")
-    g = f.grid
-    k = g.wavevectors()
-    k2 = g.wavenumber_magnitude() ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(k2 > 0, -1.0 / k2, 0.0)
-    spec = f.spectrum()
-    out = np.stack([spec * base * (1j * k[a]) for a in range(g.dim)])
-    return inverse_transform(g, out)
+    return _apply(f, sym)
 
 
 def _pointwise_magnitude(f: Field):
@@ -434,6 +375,7 @@ def dealias(f: Field, out: np.ndarray | None = None):
     """Truncate a field to the 2/3-rule ball.  With ``out`` (real layout) the
     masked coefficients are written there and returned, not inverted;
     without, they are a temporary and are inverted in place."""
-    c = np.multiply(rfftn(f.grid, f.values), real_layout(f.grid).mask, out=out)
-    return c if out is not None else Field(f.grid,
-                                           irfftn(f.grid, c, overwrite=True))
+    c = np.multiply(transform(f.grid, f.values), real_layout(f.grid).mask,
+                    out=out)
+    return c if out is not None else Field(
+        f.grid, inverse_transform(f.grid, c, overwrite=True))

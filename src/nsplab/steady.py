@@ -22,7 +22,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .spectral import (Field, Grid, coeff_norm, dealias, divergence, grad_norm,
-                       gradient, irfftn, lp_norm, real_layout, rfftn, sobolev_norm)
+                       gradient, inverse_transform, lp_norm, real_layout,
+                       sobolev_norm, transform)
 from .thermo import FluidParams, remainder
 
 __all__ = [
@@ -126,15 +127,15 @@ class _Elliptic:
 
     Since h'(rho_s) grad rho_s = grad h(rho_s), `flux_div` gives
     D = dealias div(h'(rho_s) grad f) in enthalpy form, as the dealiased
-    Lap h(rho_s): D = mask (-|k|^2) (h'(rho_bar) f_hat + rfftn(R)), with
-    R = h(rho_bar + f) - h(rho_bar) - h'(rho_bar) f (`thermo.remainder`),
-    one forward scalar transform.  R, not h(rho_s), is transformed:
+    Lap h(rho_s): D = mask (-|k|^2) (h'(rho_bar) f_hat + transform(R)),
+    with R = h(rho_bar + f) - h(rho_bar) - h'(rho_bar) f
+    (`thermo.remainder`), one forward scalar transform.  R, not h(rho_s), is transformed:
     h(rho_s) - h'(rho_bar) f would cancel to about 1e-16 |h| before the
     |k|^2 weight and lift the residual off its roundoff floor.  `defect`
     turns D into the residual.  The next Picard iterate is
     sym (D + shift f_hat + (b - b_bar)^), with sym the symbol of
     (-h'(rho_bar) Lap + 1)^{-1} and shift = h'(rho_bar) mask |k|^2: the
-    h'(rho_bar) terms cancel, leaving sym (mask (-|k|^2) rfftn(R)
+    h'(rho_bar) terms cancel, leaving sym (mask (-|k|^2) transform(R)
     + (b - b_bar)^).  Outside the mask the iterate is sym (b - b_bar)^, so
     the defect there is (1 - sym)(b - b_bar)^, of norm `truncation_defect`.
     """
@@ -148,7 +149,7 @@ class _Elliptic:
         self.shift = self.hp_bar * lay.mask * k2
         self.lap = -(lay.mask * k2)
         self.mask = lay.mask
-        self.b_dev = rfftn(self.grid, doping.b.values - doping.b_bar)
+        self.b_dev = transform(self.grid, doping.b.values - doping.b_bar)
         self.mean_gap = doping.b_bar - params.rho_bar
         self.truncation_defect = coeff_norm(
             self.grid, (1.0 - self.sym) * ~lay.mask * self.b_dev)
@@ -157,7 +158,7 @@ class _Elliptic:
         R = remainder(self.params.law, Field(self.grid, f_vals),
                       self.params.rho_bar)
         D = np.multiply(self.hp_bar, f_hat, out=out)
-        D += rfftn(self.grid, R.values)
+        D += transform(self.grid, R.values)
         D *= self.lap
         return D
 
@@ -173,8 +174,9 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
                  tol: float = 1e-10, max_iter: int = 200) -> SteadyState:
     """Damped Picard solve of the steady equation on the real-layout
     coefficients of f: one operator evaluation per sweep gives the residual
-    of the iterate and the next target, and the damping halves (never below
-    1/16) whenever the residual rises.  The sweeps stop when the Galerkin
+    of the iterate and the next target.  The damping halves (never below
+    1/16) whenever the residual rises and grows by 5/4 (never above 1)
+    whenever it falls.  The sweeps stop when the Galerkin
     residual, the defect inside the 2/3 mask, is below tol.  `residual_l2`
     is the full L2 defect by Parseval: the Galerkin part and the
     `truncation_defect`, which no sweep reduces.  `verify_steady` recomputes
@@ -203,7 +205,7 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
         np.multiply(op.sym, target, out=target)
         f_new = np.multiply(1.0 - omega, f_hat, out=spare)
         f_new += np.multiply(omega, target, out=target)
-        f_vals = irfftn(grid, f_new)          # f_new is kept: no overwrite
+        f_vals = inverse_transform(grid, f_new)   # f_new is kept: no overwrite
         lo, hi = rho_bar + f_vals.min(), rho_bar + f_vals.max()
         if lo <= 0:
             raise SteadySolveError("total density left (0, inf) during iteration",
@@ -214,8 +216,10 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
                 f"[{b_lo - margin:.6g}, {b_hi + margin:.6g}]", history)
         op.flux_div(f_new, f_vals, out=D)
         res = coeff_norm(grid, op.defect(D, f_new, out=work))
-        if history and res > history[-1] and omega > 0.0625:
-            omega *= 0.5           # automatic damping on residual increase
+        if history and res > history[-1]:
+            omega = max(0.0625, 0.5 * omega)   # damp on a residual rise
+        elif history and res < history[-1]:
+            omega = min(1.0, 1.25 * omega)     # and recover while it falls
         history.append(res)
         spare, f_hat = f_hat, f_new
         if coeff_norm(grid, np.multiply(op.mask, work, out=work)) < tol:
@@ -263,7 +267,7 @@ def w2r_norm(f: Field, r: float) -> float:
     np.multiply(ik, f.coefficients(), out=hat[:dim])
     for i, (a, b) in enumerate(pairs):
         np.multiply(ik[b], hat[a], out=hat[dim + i])
-    phys = irfftn(grid, hat, overwrite=True)
+    phys = inverse_transform(grid, hat, overwrite=True)
     hess_sq = sum((1.0 if a == b else 2.0) * phys[dim + i] ** 2
                   for i, (a, b) in enumerate(pairs))
     return (lp_norm(f, r) ** r + lp_norm(Field(grid, phys[:dim]), r) ** r
@@ -274,10 +278,10 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
                   r: float = 1.2) -> SteadyReport:
     """Diagnostic report on a computed steady state (pure checks, no raise).
 
-    Only the residual stays on the full complex path, in the flux form
+    The residual is taken on the grid samples of rho_s in the flux form
     the solver does not use (`gradient`, `dealias`, `divergence`), so it
     checks the solver against a second discretization.  The gradient
-    balance is ||grad (h(rho_s) - phi_s)||_L2 from one real transform, and
+    balance is ||grad (h(rho_s) - phi_s)||_L2 from one transform, and
     the other norms read the real-layout coefficients of ss.f."""
     grid = ss.rho_s.grid
     b_min, b_max = float(doping.b.values.min()), float(doping.b.values.max())

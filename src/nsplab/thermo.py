@@ -58,7 +58,7 @@ class GammaLaw(PressureLaw):
     def h(self, z):
         z = np.asarray(z, dtype=float)
         g = self.gamma
-        if np.isclose(g, 1.0):
+        if g == 1.0:
             return np.log(z)
         return g / (g - 1.0) * (z ** (g - 1.0) - 1.0)
 
@@ -152,9 +152,9 @@ def _remainder_gamma(gamma, rho_s, total):
     cancels as p -> 1, (1 + x) expm1((p - 1) L) - (p - 1) x.
     """
     g = gamma
-    if np.isclose(g, 2.0):
+    if g == 2.0:
         return np.zeros_like(np.asarray(total, dtype=float))
-    p = 0.0 if np.isclose(g, 1.0) else g - 1.0
+    p = g - 1.0
     rho_s = np.asarray(rho_s, dtype=float)
     x = np.asarray((total - rho_s) / rho_s, dtype=float)
     small = np.abs(x) < _SERIES_X

@@ -7,9 +7,9 @@ from nsplab.evolution import (Background, DiagnosticsConfig, EvolutionError,
                               random_smooth_state, single_mode_state,
                               zero_state)
 from nsplab.semigroup import ModeSymbol, hodge_evolve, mode_exponential
-from nsplab.spectral import (Field, Grid, dealias, divergence, gradient,
-                             inverse_transform, irfftn, laplacian,
-                             poisson_gradient, sobolev_norm)
+import fullgrid
+from nsplab.spectral import (Field, Grid, dealias, inverse_transform,
+                             laplacian, sobolev_norm)
 from nsplab.steady import (cosine_doping, flat_doping, gaussian_bump_doping,
                            solve_steady)
 from nsplab.thermo import FluidParams, GammaLaw, remainder
@@ -61,15 +61,15 @@ def report_states(*args, **kwargs):
 def _viscous(params, u: Field) -> Field:
     """mu Lap u + (mu + mu') grad div u (vector output)."""
     grid = u.grid
-    k = grid.wavevectors()
-    k2 = grid.wavenumber_magnitude() ** 2
-    spec = u.spectrum()
+    k = fullgrid.wavevectors(grid)
+    k2 = fullgrid.wavenumber_magnitude(grid) ** 2
+    spec = fullgrid.spectrum(u)
     div_spec = sum(spec[a] * (1j * k[a]) for a in range(grid.dim))
     out = np.empty_like(spec)
     for a in range(grid.dim):
         out[a] = -params.mu * k2 * spec[a] \
             + (params.mu + params.mu_prime) * (1j * k[a]) * div_spec
-    return inverse_transform(grid, out)
+    return fullgrid.physical(grid, out)
 
 
 def _advection(u: Field) -> Field:
@@ -77,7 +77,7 @@ def _advection(u: Field) -> Field:
     grid = u.grid
     comps = []
     for a in range(grid.dim):
-        g = gradient(Field(grid, u.values[a]))
+        g = fullgrid.gradient(Field(grid, u.values[a]))
         comps.append(np.sum(u.values * g.values, axis=0))
     return dealias(Field(grid, np.stack(comps)))
 
@@ -99,17 +99,19 @@ def rhs_nonlinear(state: PerturbationState, ss, params: FluidParams):
     state.check(ss)
     grid = state.grid
     visc = _viscous(params, state.u)
-    grad_phi = state.grad_potential()
+    grad_phi = fullgrid.poisson_gradient(state.rho)
     law = params.law
     rho_s = ss.rho_s
     total = state.rho.values + rho_s.values
     adv = _advection(state.u)
-    grad_R = gradient(dealias(remainder(law, state.rho, rho_s)))
+    grad_R = fullgrid.gradient(dealias(remainder(law, state.rho, rho_s)))
     # d rho/dt = -div(rho_s u) - div(rho u)
-    drho = -(divergence(_scalar_times_vector(rho_s.values, state.u)).values
-             + divergence(_scalar_times_vector(state.rho.values, state.u)).values)
+    drho = -(fullgrid.divergence(
+                 _scalar_times_vector(rho_s.values, state.u)).values
+             + fullgrid.divergence(
+                 _scalar_times_vector(state.rho.values, state.u)).values)
     hp_s = np.asarray(law.h_prime(rho_s.values))
-    press = gradient(dealias(Field(grid, hp_s * state.rho.values)))
+    press = fullgrid.gradient(dealias(Field(grid, hp_s * state.rho.values)))
     inv_coeff = dealias(Field(grid, 1.0 / rho_s.values))
     visc_term = _scalar_times_vector(inv_coeff.values, visc)
     inv_jump = dealias(Field(grid, 1.0 / total - 1.0 / rho_s.values))
@@ -133,8 +135,8 @@ class TestStates:
         s = random_smooth_state(GRID, seed=3, amplitude=0.02, band=3)
         size = np.hypot(sobolev_norm(s.rho, 4), sobolev_norm(s.u, 4))
         assert size == pytest.approx(0.02, rel=1e-12)
-        m = np.max(np.abs(GRID.mode_numbers()), axis=0)
-        assert np.max(np.abs(s.rho.spectrum()[m > 3])) < 1e-16
+        m = np.max(np.abs(GRID.mode_numbers()), axis=0)[..., :GRID.n // 2 + 1]
+        assert np.max(np.abs(s.rho.coefficients()[m > 3])) < 1e-16
 
     def test_random_smooth_deterministic(self):
         a = random_smooth_state(GRID, seed=5)
@@ -165,14 +167,14 @@ class TestRightHandSide:
         s = with_nyquist(random_smooth_state(GRID, seed=12, amplitude=2e-2),
                          1e-3)
         dr_v, du_v = rhs_nonlinear(s, ss, params)
-        lin_rho = -params.rho_bar * divergence(s.u).values
-        lin_u = (-params.h_prime_bar * gradient(s.rho).values
+        lin_rho = -params.rho_bar * fullgrid.divergence(s.u).values
+        lin_u = (-params.h_prime_bar * fullgrid.gradient(s.rho).values
                  + _viscous(params, s.u).values / params.rho_bar
-                 + poisson_gradient(s.rho).values)
+                 + fullgrid.poisson_gradient(s.rho).values)
         n1, n2 = nonlinear_terms(s.rho.values, s.u.values, *s.coefficients(),
                                  Background(ss, params))
-        for got, diff in ((irfftn(GRID, n1), dr_v.values - lin_rho),
-                          (irfftn(GRID, n2), du_v.values - lin_u)):
+        for got, diff in ((inverse_transform(GRID, n1), dr_v.values - lin_rho),
+                          (inverse_transform(GRID, n2), du_v.values - lin_u)):
             want = dealias(Field(GRID, diff)).values
             scale = np.max(np.abs(want))
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
@@ -223,13 +225,13 @@ class TestIntegrator:
         out = Integrator(flat_ss, PARAMS, t).step(s)
         kvec = np.array([2.0 * np.pi / grid.length, 0.0])
         idx = (1, 0)
-        state0 = np.array([s.rho.spectrum()[idx],
-                           s.u.spectrum()[(0,) + idx],
-                           s.u.spectrum()[(1,) + idx]])
+        state0 = np.array([s.rho.coefficients()[idx],
+                           s.u.coefficients()[(0,) + idx],
+                           s.u.coefficients()[(1,) + idx]])
         expect = split_evolve_mode(PARAMS, kvec, t, state0)
-        got = np.array([out.rho.spectrum()[idx],
-                        out.u.spectrum()[(0,) + idx],
-                        out.u.spectrum()[(1,) + idx]])
+        got = np.array([out.rho.coefficients()[idx],
+                        out.u.coefficients()[(0,) + idx],
+                        out.u.coefficients()[(1,) + idx]])
         np.testing.assert_allclose(got, expect, atol=1e-12 * amp)
 
     def test_second_order_self_convergence(self, bumpy_ss):
@@ -253,17 +255,17 @@ class TestIntegrator:
                          1e-3)
         dt = 0.3
         got = Integrator(bumpy_ss, PARAMS, dt).linear_step(s)
-        kmag = GRID.wavenumber_magnitude()
+        kmag = fullgrid.wavenumber_magnitude(GRID)
         zero = kmag == 0.0
         safe = np.where(zero, 1.0, kmag)
         E, heat = mode_exponential(ModeSymbol.from_params(PARAMS, safe), dt)
         E[zero] = np.eye(2)
         heat[zero] = 1.0
-        rho, u = hodge_evolve(E, heat, GRID.wavevectors() / safe,
-                              s.rho.spectrum(), s.u.spectrum())
+        rho, u = hodge_evolve(E, heat, fullgrid.wavevectors(GRID) / safe,
+                              fullgrid.spectrum(s.rho), fullgrid.spectrum(s.u))
         rho[0, 0] = 0.0
         for field, spec in ((got.rho, rho), (got.u, u)):
-            want = inverse_transform(GRID, spec).values
+            want = fullgrid.physical(GRID, spec).values
             np.testing.assert_allclose(field.values, want, rtol=0,
                                        atol=1e-14 * np.max(np.abs(want)))
         assert got.t == dt
@@ -312,8 +314,10 @@ class TestIntegrator:
                 np.testing.assert_array_equal(c, k)
         for state in (s1, s2):
             rho_hat, u_hat = state.coefficients()
-            np.testing.assert_array_equal(state.rho.values, irfftn(GRID, rho_hat))
-            np.testing.assert_array_equal(state.u.values, irfftn(GRID, u_hat))
+            np.testing.assert_array_equal(state.rho.values,
+                                          inverse_transform(GRID, rho_hat))
+            np.testing.assert_array_equal(state.u.values,
+                                          inverse_transform(GRID, u_hat))
 
     def test_step_allocation_budget(self):
         # after two warm-up steps a 16^3 step allocates at most 32 real-field
@@ -361,8 +365,9 @@ class TestIntegrator:
             np.testing.assert_array_equal(got.u.values, want.u.values)
 
     def test_rejects_bad_dt(self, flat_ss):
-        with pytest.raises(ValueError):
-            Integrator(flat_ss, PARAMS, 0.0)
+        for dt in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="dt must be finite"):
+                Integrator(flat_ss, PARAMS, dt)
 
     def test_default_dt_scales_with_resolution(self):
         coarse = default_dt(PARAMS, Grid(dim=2, n=16))
@@ -409,6 +414,16 @@ class TestEvolveDriver:
         with pytest.raises(EvolutionError) as exc:
             evolve(s0, flat_ss, PARAMS, t_end=50.0, dt=2.0)
         assert hasattr(exc.value, "reports")
+
+    @pytest.mark.parametrize("t_end,dt,name", [
+        (5.0, np.inf, "dt"), (5.0, np.nan, "dt"),
+        (np.inf, 0.05, "t_end"), (np.nan, 0.05, "t_end")])
+    def test_rejects_a_t_end_it_cannot_reach(self, flat_ss, t_end, dt, name):
+        # dt = inf would take no step and report t = 0; the others would
+        # fail inside round() without naming the argument
+        s0 = random_smooth_state(GRID, seed=6, amplitude=1e-3)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            evolve(s0, flat_ss, PARAMS, t_end=t_end, dt=dt)
 
     def test_initial_data_size_positive(self):
         s = random_smooth_state(GRID, seed=8, amplitude=1e-2)

@@ -406,6 +406,42 @@ class TestCli:
         assert "failure" in manifest
         assert "rho_s.nspf" in manifest["files"]
 
+    def test_run_names_an_unreachable_t_end(self, tmp_path):
+        cfg_path = tmp_path / "inf.cfg"
+        cfg_path.write_text(SAMPLE.replace("t_end = 0.5", "t_end = inf"))
+        with pytest.raises(ValueError, match="t_end must be finite"):
+            main(["run", "--config", str(cfg_path),
+                  "--output", str(tmp_path / "out")])
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["failure"] == (
+            "ValueError: t_end must be finite and nonnegative, got inf")
+
+    def test_run_transforms_on_the_half_grid_only(self, tmp_path, monkeypatch):
+        # the steady solve, verify_steady, the evolution and its reports:
+        # no full-grid transform, and every ifftn is the leading-axes pass
+        # of an inverse whose input is on the half grid
+        import scipy.fft
+        shapes = {"fftn": [], "ifftn": []}
+        for name in shapes:
+            def counted(x, *args, _fn=getattr(scipy.fft, name),
+                        _seen=shapes[name], **kwargs):
+                _seen.append(np.shape(x))
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        cfg_path = tmp_path / "cube.cfg"
+        cfg_path.write_text(BUMP.replace("dim = 2", "dim = 3")
+                            + "\n[initial]\npreset = random-smooth\nseed = 3\n"
+                            "\n[evolve]\ndt = 0.1\nt_end = 0.3\n"
+                            "report_every = 1\n")
+        assert main(["run", "--config", str(cfg_path),
+                     "--output", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "steady.json").exists()
+        assert (tmp_path / "out" / "energy.csv").read_text().count("\n") == 5
+        assert shapes["fftn"] == []
+        assert shapes["ifftn"] and all(shape[-1] == 16 // 2 + 1
+                                       for shape in shapes["ifftn"])
+
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(SAMPLE)

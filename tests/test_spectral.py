@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nsplab.spectral import (Field, Grid, MeanZeroError, dealias, divergence,
-                             frac_derivative, gn_interpolation_check,
-                             grad_norm, gradient, inverse_laplacian,
-                             inverse_transform, irfftn, laplacian, lp_norm,
-                             poisson_gradient, real_layout, rfftn,
-                             sobolev_norm)
+import fullgrid
+from nsplab.spectral import (Field, Grid, MeanZeroError, coeff_norm, dealias,
+                             divergence, frac_derivative,
+                             gn_interpolation_check, grad_norm, gradient,
+                             inverse_laplacian, inverse_transform, laplacian,
+                             lp_norm, real_layout, sobolev_norm, transform)
 
 
 def random_field(grid, seed, mean_zero=True):
@@ -39,9 +39,11 @@ class TestGrid:
         assert g.npoints == 512
 
     def test_wavevectors_integer_modes(self):
-        g = Grid(dim=1, n=8)
-        np.testing.assert_allclose(
-            g.wavevectors()[0], [0, 1, 2, 3, -4, -3, -2, -1], atol=1e-14)
+        # the half grid's k = ik / i + k_nyquist holds modes 0..n/2, the
+        # last as -n/2
+        lay = real_layout(Grid(dim=1, n=8))
+        np.testing.assert_allclose(lay.ik.imag[0] + lay.k_nyquist[0],
+                                   [0, 1, 2, 3, -4], atol=1e-14)
         # the mode numbers are scipy's fftfreq(n, 1/n), bit for bit
         import scipy.fft
         for n in (8, 16, 32, 64, 128, 256):
@@ -55,24 +57,24 @@ class TestGrid:
 class TestTransforms:
     def test_roundtrip(self):
         f = random_field(GRID2, 0, mean_zero=False)
-        from nsplab.spectral import inverse_transform
-        g = inverse_transform(GRID2, f.spectrum())
-        np.testing.assert_allclose(g.values, f.values, atol=1e-14)
+        g = inverse_transform(GRID2, transform(GRID2, f.values))
+        np.testing.assert_allclose(g, f.values, atol=1e-14)
 
     def test_single_mode_coefficient(self):
+        # the half grid holds c_2 of cos(2x); its partner c_-2 is conj c_2
         g = Grid(dim=1, n=16)
         x = g.axes()
-        f = Field(g, np.cos(2.0 * x))
-        spec = f.spectrum()
+        spec = Field(g, np.cos(2.0 * x)).coefficients()
+        assert spec.shape == (9,)
         assert spec[2] == pytest.approx(0.5, abs=1e-14)
-        assert spec[-2] == pytest.approx(0.5, abs=1e-14)
+        np.testing.assert_allclose(np.delete(spec, 2), 0.0, atol=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10 ** 6))
     def test_parseval(self, seed):
         f = random_field(GRID2, seed, mean_zero=False)
         phys = lp_norm(f, 2.0)
-        spec = np.sqrt(GRID2.length ** 2 * np.sum(np.abs(f.spectrum()) ** 2))
+        spec = coeff_norm(GRID2, f.coefficients())
         assert phys == pytest.approx(spec, rel=1e-13)
 
 
@@ -104,9 +106,9 @@ class TestDerivatives:
         with pytest.raises(MeanZeroError):
             inverse_laplacian(f)
 
-    def test_poisson_gradient_divergence(self):
+    def test_div_grad_inverse_laplacian(self):
         f = dealias(random_field(GRID3, 3))
-        g = divergence(poisson_gradient(f))
+        g = divergence(gradient(inverse_laplacian(f)))
         np.testing.assert_allclose(g.values, f.values, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -133,16 +135,39 @@ class TestRealLayout:
         f = random_field(grid, 21)
         c = real_layout(grid).ik * f.coefficients()
         kept = c.copy()
-        got = irfftn(grid, c)
+        got = inverse_transform(grid, c)
         np.testing.assert_array_equal(c, kept)
-        want = gradient(f).values
+        want = fullgrid.gradient(f).values
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
+        np.testing.assert_allclose(gradient(f).values, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
         # the in-place path gives the same bits, stacked and scalar
-        np.testing.assert_array_equal(irfftn(grid, c, overwrite=True), got)
+        np.testing.assert_array_equal(
+            inverse_transform(grid, c, overwrite=True), got)
         scalar = f.coefficients()
-        np.testing.assert_array_equal(irfftn(grid, scalar.copy(), overwrite=True),
-                                      irfftn(grid, scalar))
+        np.testing.assert_array_equal(
+            inverse_transform(grid, scalar.copy(), overwrite=True),
+            inverse_transform(grid, scalar))
+
+    @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
+    def test_multipliers_match_complex(self, grid):
+        f = random_field(grid, 22)
+        v = Field(grid, np.stack([random_field(grid, 50 + a).values
+                                  for a in range(grid.dim)]))
+        k2 = fullgrid.wavenumber_magnitude(grid) ** 2
+        with np.errstate(divide="ignore"):
+            inv_k2 = np.where(k2 > 0, 1.0 / k2, 0.0)
+        spec = fullgrid.spectrum(f)
+        pairs = [(laplacian(f), fullgrid.laplacian(f)),
+                 (divergence(v), fullgrid.divergence(v)),
+                 (inverse_laplacian(f), fullgrid.physical(grid, -inv_k2 * spec)),
+                 (frac_derivative(f, 1.5), fullgrid.physical(grid, k2 ** 0.75 * spec)),
+                 (frac_derivative(f, -0.5),
+                  fullgrid.physical(grid, inv_k2 ** 0.25 * spec))]
+        for got, want in pairs:
+            np.testing.assert_allclose(got.values, want.values, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(want.values)))
 
     @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
     def test_nyquist_planes_hold_k_nyquist(self, grid):
@@ -159,12 +184,14 @@ class TestRealLayout:
                                   for a in range(grid.dim)]))
         lay = real_layout(grid)
         c = v.coefficients()
-        got = irfftn(grid, lay.ik * sum(lay.ik[a] * c[a] for a in range(grid.dim))
-                     - lay.k_nyquist * sum(lay.k_nyquist[a] * c[a]
-                                           for a in range(grid.dim)))
-        k = grid.wavevectors()
-        div = sum(1j * k[a] * v.spectrum()[a] for a in range(grid.dim))
-        want = inverse_transform(grid, 1j * k * div).values
+        got = inverse_transform(
+            grid, lay.ik * sum(lay.ik[a] * c[a] for a in range(grid.dim))
+            - lay.k_nyquist * sum(lay.k_nyquist[a] * c[a]
+                                  for a in range(grid.dim)))
+        k = fullgrid.wavevectors(grid)
+        spec = fullgrid.spectrum(v)
+        div = sum(1j * k[a] * spec[a] for a in range(grid.dim))
+        want = fullgrid.physical(grid, 1j * k * div).values
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-13 * np.max(np.abs(want)))
 
@@ -191,8 +218,8 @@ class TestNorms:
     def test_norms_match_full_spectrum(self):
         # the real-layout power sum counts each omitted partner -m once more
         f = random_field(GRID3, 23)
-        k = GRID3.wavenumber_magnitude()
-        power = np.abs(f.spectrum()) ** 2
+        k = fullgrid.wavenumber_magnitude(GRID3)
+        power = np.abs(fullgrid.spectrum(f)) ** 2
         for ell in (0.0, 1.0, 2.5):
             w = k ** (2.0 * ell)
             full = np.sqrt(GRID3.length ** 3 * np.sum(w * power))
@@ -222,7 +249,7 @@ class TestDealias:
         prod = dealias(Field(g, dealias(a).values * dealias(b).values))
         # cos(5x)^2 = 1/2 + cos(10x)/2; both the mode-10 part (aliased to
         # mode 6 on n=16) and anything above n/3 must be gone
-        spec = prod.spectrum()
+        spec = prod.coefficients()
         assert abs(spec[6]) < 1e-14
         assert abs(spec[0] - 0.5) < 1e-14
 
@@ -236,7 +263,8 @@ class TestDealias:
         got = dealias(f).values
         np.testing.assert_array_equal(f.values, values)
         np.testing.assert_array_equal(f.coefficients(), coeffs)
-        want = irfftn(grid, rfftn(grid, f.values) * real_layout(grid).mask)
+        want = inverse_transform(grid, transform(grid, f.values)
+                                 * real_layout(grid).mask)
         np.testing.assert_array_equal(got, want)
 
     def test_low_modes_untouched(self):

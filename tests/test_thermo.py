@@ -77,6 +77,20 @@ class TestRemainder:
                + law.h_prime(rho_s.values) * pert.values + R.values)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
+    @pytest.mark.parametrize("gamma", [1.00001, 1.99999, 2.00001])
+    def test_taylor_identity_next_to_the_special_laws(self, gamma):
+        # gamma 1 (log enthalpy) and gamma 2 (R = 0) are taken only when
+        # gamma is exactly 1 or 2; a law next to them keeps its own h and R
+        law = GammaLaw(gamma)
+        rng = np.random.default_rng(17)
+        rho_s = Field(GRID, 1.0 + 0.3 * rng.uniform(-1, 1, GRID.shape))
+        pert = Field(GRID, 0.2 * rng.uniform(-1, 1, GRID.shape))
+        R = remainder(law, pert, rho_s)
+        lhs = law.h(pert.values + rho_s.values)
+        rhs = (law.h(rho_s.values)
+               + law.h_prime(rho_s.values) * pert.values + R.values)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-9)
+
     def test_quadratic_law_remainder_zero(self):
         R = remainder(GammaLaw(2.0), const_field(0.3), const_field(1.2))
         assert np.all(R.values == 0.0)
@@ -164,7 +178,7 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
         assert scipy_modules() == [], scipy_modules()
         from nsplab import spectral
         grid = spectral.Grid(dim=1, n=8)
-        spectral.rfftn(grid, grid.axes())
+        spectral.transform(grid, grid.axes())
         assert "scipy.fft" in sys.modules
     """
     proc = subprocess.run([sys.executable, "-c", code, str(src), str(config),
