@@ -215,6 +215,13 @@ def _state_diff(a, b):
                  * a.grid.cell_volume ** 0.5)
 
 
+def _stepped(ss, params, state, dt, t_end):
+    stepper = Integrator(ss, params, dt)
+    for _ in range(int(round(t_end / dt))):
+        state = stepper.step(state)
+    return state
+
+
 def gates_nonlinear() -> list:
     t0 = time.perf_counter()
     out = []
@@ -254,25 +261,16 @@ def gates_nonlinear() -> list:
     errs = []
     for amp in (1e-3, 5e-4):
         init = random_smooth_state(sgrid, seed=5, amplitude=amp)
-        stepper = Integrator(sss, params, dt_s)
-        st = init
-        for _ in range(int(round(T / dt_s))):
-            st = stepper.step(st)
         ref = Integrator(sss, params, T).linear_step(init)  # exact linear flow
-        errs.append(_state_diff(st, ref))
+        errs.append(_state_diff(_stepped(sss, params, init, dt_s, T), ref))
     order_amp = _order_from_errors(errs[0], errs[1])
     out.append(_gate("linear consistency order", abs(order_amp - 2.0) <= 0.1,
                      f"amplitude-halving order {order_amp:.3f} (target 2 +- 0.1)"))
 
     # self-convergence under time-step halving
     init = random_smooth_state(sgrid, seed=5, amplitude=5e-2)
-    sols = []
-    for dt in (0.05, 0.025, 0.0125):
-        stepper = Integrator(sss, params, dt)
-        st = init
-        for _ in range(int(round(T / dt))):
-            st = stepper.step(st)
-        sols.append(st)
+    sols = [_stepped(sss, params, init, dt, T)
+            for dt in (0.05, 0.025, 0.0125)]
     order_dt = _order_from_errors(_state_diff(sols[0], sols[1]),
                                   _state_diff(sols[1], sols[2]))
     out.append(_gate("time-step convergence order",

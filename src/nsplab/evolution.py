@@ -117,18 +117,18 @@ def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
         values = inverse_transform(grid, hermitian, overwrite=True)
         return values - values.mean()
 
-    rho = Field(grid, one_scalar())
-    u = Field(grid, np.stack([one_scalar() for _ in range(grid.dim)]))
-    size = np.hypot(sobolev_norm(rho, 4), sobolev_norm(u, 4))
+    rho, u = one_scalar(), np.stack([one_scalar() for _ in range(grid.dim)])
+    size = np.hypot(sobolev_norm(Field(grid, rho), 4), sobolev_norm(Field(grid, u), 4))
     scale = amplitude / size if size > 0 else 0.0
-    return PerturbationState(rho=scale * rho, u=scale * u)
+    return PerturbationState(Field(grid, scale * rho), Field(grid, scale * u))
 
 
 class Background:
     """What the constant-coefficient form needs of the steady state and the
     fluid, evaluated once: rho_s - rho_bar, h'(rho_s) - h'(rho_bar),
     h'(rho_bar) and the real-layout symbols.  It also owns the work arrays
-    the Lawson step overwrites, sized once; its inverses run in place there."""
+    the Lawson step overwrites, sized once; its inverses run in place there
+    (``hat``: curl u, the viscous term and the inverse density)."""
 
     def __init__(self, ss: SteadyState, params: FluidParams):
         self.params = params
@@ -141,7 +141,9 @@ class Background:
         self.carried = ss.rho_s.values - params.rho_bar
         self.hp_jump = np.asarray(params.law.h_prime(ss.rho_s.values)) - self.hp_bar
         dim, half = grid.dim, lay.kmag.shape
-        self.hat = np.empty((dim * dim + dim + 1,) + half, dtype=complex)
+        # axes (a, b) of each vorticity component omega_c = d_a u_b - d_b u_a
+        self.curl = {1: (), 2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}[dim]
+        self.hat = np.empty((len(self.curl) + dim + 1,) + half, dtype=complex)
         self.state_hat = np.empty((1 + dim,) + half, dtype=complex)
         self.prod = np.empty((2 * dim + 1,) + grid.shape)
         self.work = np.empty((1 + dim,) + grid.shape)      # scalar, vector
@@ -170,54 +172,59 @@ def _viscous_hat(u_hat, bg: Background, out):
         out[a] += div
 
 
-def nonlinear_terms(rho, u, rho_hat, u_hat, bg: Background):
+def nonlinear_terms(rho, u, u_hat, bg: Background):
     """(N1, N2) of the constant-coefficient form as real-layout
     coefficients: the full right-hand side minus the linear part matching
     the mode symbols.
 
-    rho, u are one stage's physical samples and rho_hat, u_hat their
-    `transform` coefficients.  grad u, the viscous term and 1/(rho_s + rho) -
-    1/rho_bar, masked into bg.hat by `dealias`, come back in one in-place
-    inverse transform there; the quadratic products go forward in one,
-    summed where they share a symbol, and are dealiased by the 2/3 mask.
-    A step makes 8 transforms, 4 of them inverse (with `Integrator._state`).
-    N1 and N2 are built in place in the forward transform's fresh output.
+    rho, u are one stage's physical samples and u_hat the `transform`
+    coefficients of u.  Advection is grad(|u|^2 / 2) - u x curl u:
+    curl u, the viscous term and 1/(rho_s + rho) - 1/rho_bar, masked into
+    bg.hat by `dealias`, come back in one in-place inverse transform there,
+    and the products, |u|^2 / 2 in the scalar under grad, go forward in one
+    and are dealiased by the 2/3 mask; with `Integrator._state`, a 3-D step
+    transforms 38 scalar fields in 8 calls.  The convective form u . grad u
+    aliases alike only for u inside the 2/3 ball (|m_a| <= n/3).  N1 and N2
+    are built in place in the forward transform's fresh output.
     """
     grid, lay, params = bg.grid, bg.layout, bg.params
-    dim = grid.dim
-    hat, prod = bg.hat, bg.prod
+    dim, pairs = grid.dim, bg.curl
+    hat, prod, tmp = bg.hat, bg.prod, bg.work_hat
     s, vec = bg.work[0], bg.work[1:]
-    np.multiply(u_hat[:, None], lay.ik[None, :],
-                out=hat[:dim * dim].reshape((dim, dim) + rho_hat.shape))
-    _viscous_hat(u_hat, bg, hat[dim * dim:-1])
+    for c, (a, b) in enumerate(pairs):
+        np.multiply(lay.ik[a], u_hat[b], out=hat[c])
+        hat[c] -= np.multiply(lay.ik[b], u_hat[a], out=tmp)
+    _viscous_hat(u_hat, bg, hat[len(pairs):-1])
     # 1/(rho_s + rho) - 1/rho_bar multiplies visc, so it is dealiased first
     np.add(rho, bg.rho_s.values, out=s)
     np.divide(1.0, s, out=s)
     s -= 1.0 / params.rho_bar
     dealias(Field(grid, s), out=hat[-1])
     phys = inverse_transform(grid, hat, overwrite=True)
-    grad_u = phys[:dim * dim].reshape((dim, dim) + grid.shape)  # d_b u_a
-    visc, inv_jump = phys[dim * dim:-1], phys[-1]
+    omega, visc, inv_jump = phys[:len(pairs)], phys[len(pairs):-1], phys[-1]
 
     R = remainder(params.law, Field(grid, rho), bg.rho_s).values
-    # [(rho + rho_s - rho_bar) u, inv_jump visc - u . grad u,
-    #  R + (h'(rho_s) - h'(rho_bar)) rho]
+    # [(rho + rho_s - rho_bar) u, inv_jump visc + u x omega,
+    #  R + (h'(rho_s) - h'(rho_bar)) rho + |u|^2 / 2]
     flux, mom, scal = prod[:dim], prod[dim:2 * dim], prod[2 * dim]
     np.add(rho, bg.carried, out=s)
     np.multiply(s, u, out=flux)
     np.multiply(inv_jump, visc, out=mom)
-    for a in range(dim):                 # (u . grad u)_a = sum_b u_b d_b u_a
-        mom[a] -= np.sum(np.multiply(u, grad_u[a], out=vec), axis=0, out=s)
+    for c, (a, b) in enumerate(pairs):   # (u x omega)_a, _b: +u_b, -u_a omega_c
+        mom[a] += np.multiply(u[b], omega[c], out=s)
+        mom[b] -= np.multiply(u[a], omega[c], out=s)
     np.multiply(bg.hp_jump, rho, out=scal)
     scal += R
-    del phys, grad_u, visc, inv_jump     # free before the forward transform
+    np.sum(np.multiply(u, u, out=vec), axis=0, out=s)
+    scal += np.multiply(0.5, s, out=s)
+    del phys, omega, visc, inv_jump      # free before the forward transform
     c = transform(grid, prod)
 
     # N2 = mask c_mom - ik_mask c_scal, then N1 = -ik_mask . c_flux over c_scal
     n1, n2 = c[2 * dim], c[dim:2 * dim]
     n2 *= lay.mask
     for a in range(dim):
-        n2[a] -= np.multiply(bg.ik_mask[a], n1, out=bg.work_hat)
+        n2[a] -= np.multiply(bg.ik_mask[a], n1, out=tmp)
     c[:dim] *= bg.ik_mask
     np.negative(np.sum(c[:dim], axis=0, out=n1), out=n1)
     return n1, n2
@@ -299,8 +306,7 @@ class Integrator:
     def step(self, state: PerturbationState) -> PerturbationState:
         dt = self.dt
         rho0, u0 = state.coefficients()
-        n1, n2 = nonlinear_terms(state.rho.values, state.u.values,
-                                 rho0, u0, self.bg)
+        n1, n2 = nonlinear_terms(state.rho.values, state.u.values, u0, self.bg)
 
         # half step: U* = E(dt/2) (U + dt/2 N(U)), U + dt/2 N built in N
         n1 *= 0.5 * dt
@@ -312,7 +318,7 @@ class Integrator:
         del n1, n2                       # free N(U) before the second stage
         m1, m2 = self._apply_linear(
             *nonlinear_terms(mid.rho.values, mid.u.values,
-                             *mid.coefficients(), self.bg),
+                             mid.u.coefficients(), self.bg),
             self._prop_half)
 
         rho_f, u_f = self._apply_linear(rho0, u0, self._prop_full)

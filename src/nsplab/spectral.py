@@ -157,15 +157,10 @@ class Field:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
-        shape = self.values.shape
-        if shape == self.grid.shape:
-            pass
-        elif len(shape) == self.grid.dim + 1 and shape[1:] == self.grid.shape:
-            pass
-        else:
-            raise ValueError(
-                f"values shape {shape} incompatible with grid shape {self.grid.shape}"
-            )
+        shape, grid = self.values.shape, self.grid
+        if shape not in (grid.shape, shape[:1] + grid.shape):   # scalar, vector
+            raise ValueError(f"values shape {shape} incompatible with grid "
+                             f"shape {grid.shape}")
 
     @property
     def is_vector(self):
@@ -187,11 +182,6 @@ class Field:
         if self.is_vector:
             return self.values.reshape(self.ncomp, -1).mean(axis=1)
         return float(self.values.mean())
-
-    def __mul__(self, scalar):
-        return Field(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def _axes(grid):

@@ -73,7 +73,25 @@ def _viscous(params, u: Field) -> Field:
 
 
 def _advection(u: Field) -> Field:
-    """Dealiased u . grad u."""
+    """Dealiased u . grad u in rotational form, grad(|u|^2 / 2) - u x omega
+    with omega_c = d_a u_b - d_b u_a over the cyclic pairs (a, b), the
+    aliasing `nonlinear_terms` has."""
+    grid = u.grid
+    half_sq = Field(grid, 0.5 * np.sum(u.values ** 2, axis=0))
+    out = fullgrid.gradient(half_sq).values
+    grads = [fullgrid.gradient(Field(grid, u.values[b])).values
+             for b in range(grid.dim)]             # grads[b][a] = d_a u_b
+    pairs = {1: (), 2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}[grid.dim]
+    for a, b in pairs:
+        omega = grads[b][a] - grads[a][b]
+        out[a] -= u.values[b] * omega
+        out[b] += u.values[a] * omega
+    return dealias(Field(grid, out))
+
+
+def _convective_advection(u: Field) -> Field:
+    """Dealiased u . grad u in convective form, sum_b u_b d_b u_a; equal to
+    the rotational form for velocity inside the 2/3 ball."""
     grid = u.grid
     comps = []
     for a in range(grid.dim):
@@ -86,13 +104,15 @@ def _scalar_times_vector(s: np.ndarray, v: Field) -> Field:
     return dealias(Field(v.grid, s[None, :] * v.values))
 
 
-def rhs_nonlinear(state: PerturbationState, ss, params: FluidParams):
+def rhs_nonlinear(state: PerturbationState, ss, params: FluidParams,
+                  advection=_advection):
     """Time derivative (d rho / dt, d u / dt) of the perturbation system.
 
     The coefficients are kept at rho_s and the terms assembled on the full
     complex layout with dealiased products, independently of the
     integrator: it is the oracle for `nonlinear_terms` plus the linear part
     matching the mode symbols, which freeze the coefficients at rho_bar.
+    ``advection`` gives the dealiased u . grad u.
     The two agree up to roundoff inside the 2/3 ball only, since this form
     also dealiases its linear terms.
     """
@@ -103,7 +123,7 @@ def rhs_nonlinear(state: PerturbationState, ss, params: FluidParams):
     law = params.law
     rho_s = ss.rho_s
     total = state.rho.values + rho_s.values
-    adv = _advection(state.u)
+    adv = advection(state.u)
     grad_R = fullgrid.gradient(dealias(remainder(law, state.rho, rho_s)))
     # d rho/dt = -div(rho_s u) - div(rho u)
     drho = -(fullgrid.divergence(
@@ -119,6 +139,28 @@ def rhs_nonlinear(state: PerturbationState, ss, params: FluidParams):
           - adv.values - grad_R.values
           + _scalar_times_vector(inv_jump.values, visc).values)
     return Field(grid, drho), Field(grid, du)
+
+
+def assert_matches_variable_form(s, advection):
+    """`nonlinear_terms` on a gamma 1.4 Gaussian bump against the oracle's
+    right-hand side minus the linear part.  The variable form dealiases its
+    linear terms too, so the difference is compared inside the 2/3 ball."""
+    grid = s.grid
+    doping = gaussian_bump_doping(grid, amplitude=0.3)
+    params = FluidParams(law=GammaLaw(1.4), rho_bar=doping.b_bar)
+    ss = solve_steady(params, doping)
+    dr_v, du_v = rhs_nonlinear(s, ss, params, advection)
+    lin_rho = -params.rho_bar * fullgrid.divergence(s.u).values
+    lin_u = (-params.h_prime_bar * fullgrid.gradient(s.rho).values
+             + _viscous(params, s.u).values / params.rho_bar
+             + fullgrid.poisson_gradient(s.rho).values)
+    n1, n2 = nonlinear_terms(s.rho.values, s.u.values, s.u.coefficients(),
+                             Background(ss, params))
+    for got, diff in ((inverse_transform(grid, n1), dr_v.values - lin_rho),
+                      (inverse_transform(grid, n2), du_v.values - lin_u)):
+        want = dealias(Field(grid, diff)).values
+        scale = np.max(np.abs(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
 
 
 class TestStates:
@@ -159,25 +201,18 @@ class TestRightHandSide:
     def test_nonlinear_terms_match_variable_form(self):
         # N = (variable-coefficient right-hand side) - (linear part), with
         # R and the pressure jump nonzero (gamma 1.4, non-flat doping) and
-        # Nyquist content in the data.  The variable form dealiases its
-        # linear terms too, so the difference is compared inside the 2/3 ball
-        doping = gaussian_bump_doping(GRID, amplitude=0.3)
-        params = FluidParams(law=GammaLaw(1.4), rho_bar=doping.b_bar)
-        ss = solve_steady(params, doping)
+        # Nyquist content in the data, which the rotational oracle aliases
+        # as nonlinear_terms does
         s = with_nyquist(random_smooth_state(GRID, seed=12, amplitude=2e-2),
                          1e-3)
-        dr_v, du_v = rhs_nonlinear(s, ss, params)
-        lin_rho = -params.rho_bar * fullgrid.divergence(s.u).values
-        lin_u = (-params.h_prime_bar * fullgrid.gradient(s.rho).values
-                 + _viscous(params, s.u).values / params.rho_bar
-                 + fullgrid.poisson_gradient(s.rho).values)
-        n1, n2 = nonlinear_terms(s.rho.values, s.u.values, *s.coefficients(),
-                                 Background(ss, params))
-        for got, diff in ((inverse_transform(GRID, n1), dr_v.values - lin_rho),
-                          (inverse_transform(GRID, n2), du_v.values - lin_u)):
-            want = dealias(Field(GRID, diff)).values
-            scale = np.max(np.abs(want))
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * scale)
+        assert_matches_variable_form(s, _advection)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_nonlinear_terms_match_convective_form(self, dim):
+        # band-limited velocity lies inside the 2/3 ball, where the
+        # convective and rotational forms of u . grad u agree
+        s = random_smooth_state(Grid(dim=dim, n=16), seed=12, amplitude=2e-2)
+        assert_matches_variable_form(s, _convective_advection)
 
     def test_nonlinear_terms_quadratic_smallness(self, flat_ss):
         # around a constant state the nonlinearity is quadratic in the data
@@ -186,7 +221,7 @@ class TestRightHandSide:
         def n2(amplitude):
             s = random_smooth_state(GRID, seed=2, amplitude=amplitude)
             return nonlinear_terms(s.rho.values, s.u.values,
-                                   *s.coefficients(), bg)[1]
+                                   s.u.coefficients(), bg)[1]
 
         ratio = np.max(np.abs(n2(1e-3))) / np.max(np.abs(n2(5e-4)))
         assert ratio == pytest.approx(4.0, rel=0.01)
@@ -197,11 +232,11 @@ class TestRightHandSide:
         bg = Background(bumpy_ss, PARAMS)
         first = random_smooth_state(GRID, seed=10, amplitude=1e-2)
         n1, n2 = nonlinear_terms(first.rho.values, first.u.values,
-                                 *first.coefficients(), bg)
+                                 first.u.coefficients(), bg)
         kept = n1.copy(), n2.copy()
         second = random_smooth_state(GRID, seed=11, amplitude=3e-2)
         nonlinear_terms(second.rho.values, second.u.values,
-                        *second.coefficients(), bg)
+                        second.u.coefficients(), bg)
         np.testing.assert_array_equal(n1, kept[0])
         np.testing.assert_array_equal(n2, kept[1])
 
@@ -299,6 +334,33 @@ class TestIntegrator:
         assert first["scipy.fft"] <= 20
         assert calls["scipy.fft"] < first["scipy.fft"]
         assert first["inverse"] == calls["inverse"] == 4
+
+    @pytest.mark.parametrize("dim,forward,inverse", [
+        (1, 8, 8), (2, 12, 14), (3, 16, 22)])
+    def test_step_field_budget(self, monkeypatch, dim, forward, inverse):
+        # the scalar fields a warm 16^dim step transforms, counted as the
+        # leading-axes size of each rfftn and of the real-output pass that
+        # ends each inverse (its leading-axes ifftn, over no axes in 1-D,
+        # is not counted again): per stage one for the inverse density and
+        # 2 dim + 1 products forward, the vorticity (0, 1 or 3 components),
+        # dim viscous and one inverse density back, and 1 + dim per state
+        import scipy.fft
+        grid = Grid(dim=dim, n=16)
+        ss = solve_steady(PARAMS, cosine_doping(grid, amplitude=0.05))
+        stepper = Integrator(ss, PARAMS, 0.05)
+        s = stepper.step(random_smooth_state(grid, seed=1, amplitude=1e-2))
+        fields = {"forward": 0, "inverse": 0}
+        half = grid.npoints // grid.n * (grid.n // 2 + 1)
+        for name, key, size in (("rfftn", "forward", grid.npoints),
+                                ("irfft", "inverse", half),
+                                ("irfftn", "inverse", half)):
+            def counted(x, *args, _fn=getattr(scipy.fft, name), _key=key,
+                        _size=size, **kwargs):
+                fields[_key] += np.size(x) // _size
+                return _fn(x, *args, **kwargs)
+            monkeypatch.setattr(scipy.fft, name, counted)
+        stepper.step(s)
+        assert fields == {"forward": forward, "inverse": inverse}
 
     def test_step_keeps_coefficients(self, bumpy_ss):
         # the in-place inverse transforms leave every state's coefficients

@@ -54,6 +54,16 @@ class TestGrid:
                                               want)
 
 
+class TestField:
+    def test_shapes_scalar_or_vector(self):
+        # samples are a scalar grid.shape or a component axis before it
+        for shape in ((16, 16), (2, 16, 16), (5, 16, 16)):
+            assert Field(GRID2, np.zeros(shape)).values.shape == shape
+        for shape in ((), (16,), (16, 8), (2, 16, 8), (2, 2, 16, 16)):
+            with pytest.raises(ValueError, match="incompatible with grid"):
+                Field(GRID2, np.zeros(shape))
+
+
 class TestTransforms:
     def test_roundtrip(self):
         f = random_field(GRID2, 0, mean_zero=False)
