@@ -88,8 +88,9 @@ def zero_state(grid: Grid) -> PerturbationState:
 def single_mode_state(grid: Grid, mode: int = 1,
                       amplitude: float = 1e-3) -> PerturbationState:
     """cos mode in the density (mean-zero) at rest."""
-    x = grid.coords()[0]
-    rho = amplitude * np.cos(2.0 * np.pi * mode * x / grid.length)
+    x = grid.axes().reshape((-1,) + (1,) * (grid.dim - 1))     # along axis 0
+    rho = np.broadcast_to(amplitude * np.cos(2.0 * np.pi * mode * x / grid.length),
+                          grid.shape).copy()
     u = np.zeros((grid.dim,) + grid.shape)
     return PerturbationState(rho=Field(grid, rho), u=Field(grid, u))
 

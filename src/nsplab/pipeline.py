@@ -213,10 +213,12 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
             doping = config.build_doping(grid)
         params = config.build_fluid(doping)
         if doping is not None:
+            tol = config.get("solver", "tol", float, 1e-10)
             ss = solve_steady(
-                params, doping,
-                tol=config.get("solver", "tol", float, 1e-10),
+                params, doping, tol=tol,
                 max_iter=config.get("solver", "max_iter", int, 200))
+            floor = {"galerkin_residual": ss.galerkin_residual,
+                     "resolved": ss.truncation_defect <= tol}
             write_field(outdir / "rho_s.nspf", ss.rho_s)
             write_field(outdir / "phi_s.nspf", ss.phi_s)
             produced += ["rho_s.nspf", "phi_s.nspf"]
@@ -226,6 +228,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 json.dump({"residual_l2": ss.residual_l2,
                            "iterations": ss.iterations,
                            "truncation_defect": ss.truncation_defect,
+                           **floor,
                            "residual_history": ss.residual_history,
                            "report": asdict(report)}, fh, indent=2)
                 fh.write("\n")
@@ -233,7 +236,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
             summary["stages"]["steady"] = {
                 "doping": doping.descriptor, "rho_bar": ss.rho_bar,
                 "iterations": ss.iterations, "residual_l2": ss.residual_l2,
-                "truncation_defect": ss.truncation_defect,
+                "truncation_defect": ss.truncation_defect, **floor,
                 "bounds_ok": report.bounds_ok,
                 "grad_rho_hk": report.grad_rho_hk,
                 "w2r_over_lr": report.ratio_w2r_lr,

@@ -85,11 +85,6 @@ class Grid:
         """Physical coordinates along one axis."""
         return np.arange(self.n) * self.dx
 
-    def coords(self):
-        """Meshgrid of physical coordinates, shape (dim, n, ..., n)."""
-        ax = self.axes()
-        return np.stack(np.meshgrid(*([ax] * self.dim), indexing="ij"))
-
     def mode_numbers(self):
         """Integer mode numbers m per axis, shape (dim, n, ..., n)."""
         return _modes(self.dim, self.n)
@@ -129,9 +124,12 @@ class RealLayout:
 
 @lru_cache(maxsize=32)
 def real_layout(grid: Grid) -> RealLayout:
-    """The half-grid symbols of ``grid`` (see `RealLayout`), cached."""
+    """The half-grid symbols of ``grid`` (see `RealLayout`), cached; their
+    mode numbers are broadcast from the 1-D ones of an axis."""
     n = grid.n
-    m = _modes(grid.dim, n)[..., : n // 2 + 1]
+    m = _modes(1, n)[0]
+    m = np.stack(np.broadcast_arrays(*np.ix_(*[m] * (grid.dim - 1),
+                                             m[: n // 2 + 1])))
     k = (2.0 * np.pi / grid.length) * m
     k_nyq = np.where(np.abs(m) == n // 2, k, 0.0)
     lay = RealLayout(ik=1j * (k - k_nyq), k_nyquist=k_nyq,
@@ -268,15 +266,10 @@ def inverse_laplacian(f: Field) -> Field:
     return _apply(f, sym)
 
 
-def _pointwise_magnitude(f: Field):
-    if f.is_vector:
-        return np.sqrt(np.sum(f.values ** 2, axis=0))
-    return np.abs(f.values)
-
-
 def lp_norm(f: Field, p: float) -> float:
     """L^p norm by equal-weight grid quadrature; p may be inf."""
-    mag = _pointwise_magnitude(f)
+    v = f.values
+    mag = np.sqrt(np.sum(v ** 2, axis=0)) if f.is_vector else np.abs(v)
     if np.isinf(p):
         return float(mag.max())
     if p < 1:

@@ -18,12 +18,13 @@ phi_s = h(rho_s) - mean(h(rho_s)) (mean-zero gauge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 import numpy as np
 
-from .spectral import (Field, Grid, coeff_norm, dealias, grad_norm, gradient,
-                       inverse_transform, lp_norm, real_layout,
-                       sobolev_norm, transform)
+from .spectral import (Field, Grid, coeff_norm, dealias, grad_norm,
+                       inverse_transform, lp_norm, real_layout, sobolev_norm,
+                       transform)
 from .thermo import FluidParams, remainder
 
 __all__ = [
@@ -82,14 +83,11 @@ def gaussian_bump_doping(grid: Grid, amplitude: float = 0.1,
     L = grid.length
     c = 0.5 * L if center is None else center
     s = L / 8.0 if sigma is None else sigma
-    x = grid.coords()
-    d = np.mod(x - c + 0.5 * L, L) - 0.5 * L
+    d = np.mod(grid.axes() - c + 0.5 * L, L) - 0.5 * L
     bump = np.zeros(grid.shape)
-    offsets = np.array([-L, 0.0, L])
-    grids = np.meshgrid(*([offsets] * grid.dim), indexing="ij")
-    for shift in zip(*(g.ravel() for g in grids)):
-        r2 = sum((d[a] + shift[a]) ** 2 for a in range(grid.dim))
-        bump += np.exp(-r2 / s ** 2)
+    for shift in product((-L, 0.0, L), repeat=grid.dim):
+        e = sum(np.ix_(*(-((d + sh) ** 2) for sh in shift)))  # -r^2, broadcast
+        bump += np.exp(np.divide(e, s ** 2, out=e), out=e)
     vals = base + amplitude * bump
     return DopingProfile(Field(grid, vals),
                          descriptor=f"gaussian-bump({amplitude},{c},{s})")
@@ -97,7 +95,7 @@ def gaussian_bump_doping(grid: Grid, amplitude: float = 0.1,
 
 def cosine_doping(grid: Grid, amplitude: float = 0.1, mode: int = 1,
                   base: float = 1.0) -> DopingProfile:
-    x = grid.coords()[0]
+    x = grid.axes().reshape((-1,) + (1,) * (grid.dim - 1))     # along axis 0
     vals = base + amplitude * np.cos(2.0 * np.pi * mode * x / grid.length)
     return DopingProfile(Field(grid, np.broadcast_to(vals, grid.shape).copy()),
                          descriptor=f"cosine({amplitude},{mode})")
@@ -119,6 +117,7 @@ class SteadyState:
     residual_l2: float            # Parseval L2 defect (see solve_steady)
     iterations: int
     truncation_defect: float      # the part of residual_l2 no sweep reduces
+    galerkin_residual: float      # the part inside the 2/3 mask: the stop
     residual_history: list = dc_field(default_factory=list)
 
 
@@ -195,8 +194,8 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     b_lo, b_hi = float(doping.b.values.min()), float(doping.b.values.max())
     margin = 0.1 * (b_hi - b_lo)
 
-    # f = 0, its operator D, and two work arrays reused by every sweep
-    f_hat, D, spare, work = (np.zeros_like(op.b_dev) for _ in range(4))
+    # f = 0, its operator D and two sweep work arrays: one block, freed whole
+    f_hat, D, spare, work = np.zeros((4,) + op.b_dev.shape, dtype=complex)
     omega = 1.0
     history = []
     for it in range(1, max_iter + 1):
@@ -222,7 +221,8 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
             omega = min(1.0, 1.25 * omega)     # and recover while it falls
         history.append(res)
         spare, f_hat = f_hat, f_new
-        if coeff_norm(grid, np.multiply(op.mask, work, out=work)) < tol:
+        galerkin = coeff_norm(grid, np.multiply(op.mask, work, out=work))
+        if galerkin < tol:
             break
     else:
         raise SteadySolveError(
@@ -232,11 +232,11 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     rho_s = Field(grid, rho_bar + f_vals)
     h_vals = np.asarray(params.law.h(rho_s.values))
     phi_s = Field(grid, h_vals - h_vals.mean())
-    return SteadyState(rho_s=rho_s, phi_s=phi_s,
-                       f=Field(grid, f_vals, _coeffs=f_hat), rho_bar=rho_bar,
+    return SteadyState(rho_s=rho_s, phi_s=phi_s, rho_bar=rho_bar,
+                       f=Field(grid, f_vals, _coeffs=f_hat.copy()),  # off the block
                        residual_l2=history[-1], iterations=len(history),
                        truncation_defect=op.truncation_defect,
-                       residual_history=history)
+                       galerkin_residual=galerkin, residual_history=history)
 
 
 @dataclass
@@ -257,21 +257,42 @@ class SteadyReport:
 
 def w2r_norm(f: Field, r: float) -> float:
     """Discrete W^{2,r}: grid L^r quadrature of the function, its multiplier
-    gradient, and its multiplier Hessian (Frobenius magnitude), the last two
-    from one batched inverse transform of ik_a f_hat and the distinct
-    ik_a ik_b f_hat, inverted in place in that temporary batch."""
+    gradient, and its multiplier Hessian (Frobenius magnitude).  Each
+    ik_a f_hat and each distinct ik_a ik_b f_hat is built in one reused
+    temporary, inverted in place there, and its square accumulated."""
     grid = f.grid
-    dim, ik = grid.dim, real_layout(grid).ik
-    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
-    hat = np.empty((dim + len(pairs),) + ik.shape[1:], dtype=complex)
-    np.multiply(ik, f.coefficients(), out=hat[:dim])
-    for i, (a, b) in enumerate(pairs):
-        np.multiply(ik[b], hat[a], out=hat[dim + i])
-    phys = inverse_transform(grid, hat, overwrite=True)
-    hess_sq = sum((1.0 if a == b else 2.0) * phys[dim + i] ** 2
-                  for i, (a, b) in enumerate(pairs))
-    return (lp_norm(f, r) ** r + lp_norm(Field(grid, phys[:dim]), r) ** r
-            + lp_norm(Field(grid, np.sqrt(hess_sq)), r) ** r) ** (1.0 / r)
+    ik, f_hat = real_layout(grid).ik, f.coefficients()
+    tmp = np.empty(ik.shape[1:], dtype=complex)
+    grad_sq, hess_sq = np.zeros(grid.shape), np.zeros(grid.shape)
+    for a in range(grid.dim):
+        for b in (None, *range(a, grid.dim)):   # the gradient, a Hessian row
+            np.multiply(ik[a], f_hat, out=tmp)
+            if b is not None:
+                np.multiply(ik[b], tmp, out=tmp)
+            acc = grad_sq if b is None else hess_sq
+            w = 1.0 if b in (None, a) else 2.0
+            d = inverse_transform(grid, tmp, overwrite=True)
+            acc += np.multiply(w, np.square(d, out=d), out=d)
+    return sum(lp_norm(Field(grid, v), r) ** r
+               for v in (f.values, np.sqrt(grad_sq, out=grad_sq),
+                         np.sqrt(hess_sq, out=hess_sq))) ** (1.0 / r)
+
+
+def _flux_residual(law, rho_s: Field, b: Field) -> np.ndarray:
+    """div(h'(rho_s) grad rho_s) - (rho_s - b) on the grid, in flux form:
+    per axis, ik_a rho_hat inverted in place, times h'(rho_s), dealiased
+    into the same temporary and contracted with ik_a into the divergence."""
+    grid, ik = rho_s.grid, real_layout(rho_s.grid).ik
+    hp = np.asarray(law.h_prime(rho_s.values))
+    rho_hat = transform(grid, rho_s.values)
+    tmp = np.empty_like(rho_hat)
+    for a in range(grid.dim):
+        flux = inverse_transform(grid, np.multiply(rho_hat, ik[a], out=tmp),
+                                 overwrite=True)
+        c = dealias(Field(grid, np.multiply(hp, flux, out=flux)), out=tmp)
+        np.multiply(ik[a], c, out=c)
+        div = c.copy() if a == 0 else np.add(div, c, out=div)
+    return inverse_transform(grid, div, overwrite=True) - (rho_s.values - b.values)
 
 
 def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
@@ -279,8 +300,8 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
     """Diagnostic report on a computed steady state (pure checks, no raise).
 
     The residual is taken on the grid samples of rho_s in the flux form
-    the solver does not use (`gradient`, `dealias`, ik . the masked flux),
-    so it checks the solver against a second discretization.  The gradient
+    the solver does not use (`_flux_residual`), so it checks the solver
+    against a second discretization.  The gradient
     balance is ||grad (h(rho_s) - phi_s)||_L2 from one transform, and
     the other norms read the real-layout coefficients of ss.f."""
     grid = ss.rho_s.grid
@@ -292,13 +313,7 @@ def verify_steady(params: FluidParams, ss: SteadyState, doping: DopingProfile,
     w2r = w2r_norm(ss.f, r)
     lr = lp_norm(Field(grid, doping.b.values - doping.b_bar), r)
 
-    hp = np.asarray(params.law.h_prime(ss.rho_s.values))
-    ik = real_layout(grid).ik
-    flux = dealias(Field(grid, hp * gradient(ss.rho_s).values),
-                   out=np.empty(ik.shape, dtype=complex))
-    div = np.sum(np.multiply(ik, flux, out=flux), axis=0)
-    res = (inverse_transform(grid, div, overwrite=True)
-           - (ss.rho_s.values - doping.b.values))
+    res = _flux_residual(params.law, ss.rho_s, doping.b)
     res_l2 = float(np.sqrt(np.sum(res ** 2) * grid.cell_volume))
     h_vals = np.asarray(params.law.h(ss.rho_s.values))
     bal_l2 = grad_norm(Field(grid, h_vals - ss.phi_s.values), 1.0)

@@ -32,7 +32,7 @@ def bumpy_ss():
 def with_nyquist(state, amplitude):
     """The state plus Nyquist content (cos(n x / 2) on the 2 pi box) on
     both axes, which the 2/3 rule would remove but initial data may carry."""
-    x, y = state.grid.coords()
+    x, y = np.meshgrid(state.grid.axes(), state.grid.axes(), indexing="ij")
     half = state.grid.n // 2
     rho = state.rho.values + amplitude * np.cos(half * x) * np.cos(y)
     u = state.u.values.copy()
@@ -45,7 +45,8 @@ def moving_mode_state(grid, amplitude):
     """The first density cos mode with the matching u_0 = A sin(2 pi x / L)."""
     s = single_mode_state(grid, amplitude=amplitude)
     u = s.u.values.copy()
-    u[0] = amplitude * np.sin(2.0 * np.pi * grid.coords()[0] / grid.length)
+    x = np.meshgrid(*[grid.axes()] * grid.dim, indexing="ij")[0]
+    u[0] = amplitude * np.sin(2.0 * np.pi * x / grid.length)
     return PerturbationState(rho=s.rho, u=Field(grid, u))
 
 

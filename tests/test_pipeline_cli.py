@@ -191,6 +191,8 @@ class TestPipeline:
         assert len(steady["residual_history"]) == steady["iterations"] >= 1
         assert steady["residual_history"][-1] == steady["residual_l2"]
         assert 0 <= steady["truncation_defect"] <= steady["residual_l2"]
+        assert 0 <= steady["galerkin_residual"] <= steady["residual_l2"]
+        assert steady["resolved"] is True
 
     def test_binary_fields_readable(self, result):
         outdir, _ = result

@@ -91,7 +91,7 @@ class TestTransforms:
 class TestDerivatives:
     def test_gradient_of_cosine(self):
         g = Grid(dim=2, n=32)
-        x = g.coords()
+        x = np.meshgrid(g.axes(), g.axes(), indexing="ij")
         f = Field(g, np.cos(3.0 * x[0]))
         df = gradient(f)
         np.testing.assert_allclose(df.values[0], -3.0 * np.sin(3.0 * x[0]),
@@ -178,6 +178,24 @@ class TestRealLayout:
         for got, want in pairs:
             np.testing.assert_allclose(got.values, want.values, rtol=0,
                                        atol=1e-13 * np.max(np.abs(want.values)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_layout_equals_sliced_full_grid_modes(self, dim):
+        # built from 1-D mode numbers, the layout has the bits of the one
+        # sliced from the full-grid `mode_numbers`
+        for n in (8, 16, 32, 64, 128):
+            grid = Grid(dim=dim, n=n)
+            m = grid.mode_numbers()[..., : n // 2 + 1]
+            k = (2.0 * np.pi / grid.length) * m
+            k_nyq = np.where(np.abs(m) == n // 2, k, 0.0)
+            want = {"ik": 1j * (k - k_nyq), "k_nyquist": k_nyq,
+                    "kmag": np.sqrt(np.sum(k * k, axis=0)),
+                    "mask": np.all(np.abs(m) <= n / 3.0, axis=0)}
+            lay = real_layout(grid)
+            for name, value in want.items():
+                got = getattr(lay, name)
+                assert got.dtype == value.dtype, (n, name)
+                np.testing.assert_array_equal(got, value, err_msg=f"{n} {name}")
 
     @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
     def test_nyquist_planes_hold_k_nyquist(self, grid):

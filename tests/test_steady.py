@@ -1,13 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 from nsplab.config import ExperimentConfig
+from nsplab.pipeline import run_pipeline
 import fullgrid
 from nsplab.spectral import (Field, Grid, dealias, gradient, inverse_transform,
-                             lp_norm, sobolev_norm)
-from nsplab.steady import (SteadySolveError, _Elliptic, cosine_doping,
-                           flat_doping, gaussian_bump_doping, solve_steady,
-                           verify_steady, w2r_norm)
+                             lp_norm, real_layout, sobolev_norm)
+from nsplab.steady import (SteadySolveError, _Elliptic, _flux_residual,
+                           cosine_doping, flat_doping, gaussian_bump_doping,
+                           solve_steady, verify_steady, w2r_norm)
 from nsplab.thermo import FluidParams, GammaLaw, TabulatedLaw
 
 GRID = Grid(dim=2, n=32)
@@ -24,6 +27,40 @@ def white_noise(grid, seed, scale=1.0):
 
 
 GRIDS = [Grid(dim=1, n=64), Grid(dim=2, n=32), Grid(dim=3, n=16)]
+
+
+def full_coords(grid):
+    """Meshgrid of physical coordinates, shape (dim, n, ..., n)."""
+    return np.stack(np.meshgrid(*[grid.axes()] * grid.dim, indexing="ij"))
+
+
+def batched_w2r_norm(f, r):
+    """`w2r_norm` from one batch: ik_a f_hat and the distinct ik_a ik_b f_hat
+    all built first, then inverted in one transform."""
+    grid = f.grid
+    dim, ik = grid.dim, real_layout(grid).ik
+    pairs = [(a, b) for a in range(dim) for b in range(a, dim)]
+    hat = np.empty((dim + len(pairs),) + ik.shape[1:], dtype=complex)
+    np.multiply(ik, f.coefficients(), out=hat[:dim])
+    for i, (a, b) in enumerate(pairs):
+        np.multiply(ik[b], hat[a], out=hat[dim + i])
+    phys = inverse_transform(grid, hat, overwrite=True)
+    hess_sq = sum((1.0 if a == b else 2.0) * phys[dim + i] ** 2
+                  for i, (a, b) in enumerate(pairs))
+    return (lp_norm(f, r) ** r + lp_norm(Field(grid, phys[:dim]), r) ** r
+            + lp_norm(Field(grid, np.sqrt(hess_sq)), r) ** r) ** (1.0 / r)
+
+
+def three_component_residual(law, rho_s, b):
+    """`_flux_residual` with every component at once: the gradient, the
+    dealiased flux and its divergence as dim-component fields."""
+    grid = rho_s.grid
+    hp = np.asarray(law.h_prime(rho_s.values))
+    ik = real_layout(grid).ik
+    flux = dealias(Field(grid, hp * gradient(rho_s).values),
+                   out=np.empty(ik.shape, dtype=complex))
+    div = np.sum(np.multiply(ik, flux, out=flux), axis=0)
+    return inverse_transform(grid, div, overwrite=True) - (rho_s.values - b.values)
 
 
 class TestDopingPresets:
@@ -43,6 +80,27 @@ class TestDopingPresets:
     def test_cosine_mean(self):
         d = cosine_doping(GRID, amplitude=0.3, mode=2)
         assert d.b_bar == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_presets_equal_full_coordinate_formulas(self, dim):
+        # built from 1-D axes, the profiles have the bits of the formulas on
+        # the full coordinate meshgrid
+        grid = Grid(dim=dim, n=16)
+        L, x = grid.length, full_coords(grid)
+        for c, s in ((0.5 * L, L / 8.0), (0.3, 0.9), (5.9, 1.7)):
+            d = np.mod(x - c + 0.5 * L, L) - 0.5 * L
+            bump = np.zeros(grid.shape)
+            offsets = np.array([-L, 0.0, L])
+            shifts = np.meshgrid(*([offsets] * dim), indexing="ij")
+            for shift in zip(*(g.ravel() for g in shifts)):
+                r2 = sum((d[a] + shift[a]) ** 2 for a in range(dim))
+                bump += np.exp(-r2 / s ** 2)
+            got = gaussian_bump_doping(grid, amplitude=0.4, center=c, sigma=s)
+            assert np.array_equal(got.b.values, 1.0 + 0.4 * bump)
+        for mode in (1, 3):
+            want = 1.0 + 0.3 * np.cos(2.0 * np.pi * mode * x[0] / L)
+            got = cosine_doping(grid, amplitude=0.3, mode=mode)
+            assert np.array_equal(got.b.values, want)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -236,10 +294,12 @@ class TestVerifySteady:
 
     @pytest.mark.parametrize("gamma", [1.4, 2.0])
     @pytest.mark.parametrize("amplitude", [0.3, 8.0])
-    def test_truncation_defect_is_the_residual_floor(self, gamma, amplitude):
+    def test_truncation_defect_is_the_residual_floor(self, gamma, amplitude,
+                                                     tmp_path):
         # the default bump is too narrow for 32^3: the residual stalls on the
         # defect outside the 2/3 mask, known before the first sweep, while
-        # the Galerkin part inside the mask falls below tol
+        # the Galerkin part inside the mask falls below tol; the independent
+        # residual is the two parts in quadrature
         grid = Grid(dim=3, n=32)
         d = gaussian_bump_doping(grid, amplitude=amplitude)
         p = params_for(d, gamma=gamma)
@@ -248,6 +308,19 @@ class TestVerifySteady:
         assert ss.truncation_defect > 1e-9
         assert ss.truncation_defect == pytest.approx(rep.residual_l2, rel=0.01)
         assert ss.residual_l2 ** 2 - ss.truncation_defect ** 2 < 1e-20
+        assert ss.galerkin_residual < 1e-10
+        assert rep.residual_l2 == pytest.approx(
+            np.hypot(ss.galerkin_residual, ss.truncation_defect), rel=0.01)
+        config = ExperimentConfig({
+            "grid": {"dim": "3", "n": "32"}, "fluid": {"gamma": str(gamma)},
+            "doping": {"preset": "gaussian-bump", "amplitude": str(amplitude)},
+            "solver": {"tol": "1e-10"}})
+        summary = run_pipeline(config, output_dir=tmp_path)
+        written = json.loads((tmp_path / "steady.json").read_text())
+        for out in (written, summary["stages"]["steady"]):
+            assert out["galerkin_residual"] == ss.galerkin_residual
+            assert out["truncation_defect"] == ss.truncation_defect
+            assert out["resolved"] is False
 
     def test_potential_balances_enthalpy_gradient(self):
         d = gaussian_bump_doping(GRID, amplitude=0.1)
@@ -256,6 +329,42 @@ class TestVerifySteady:
         rep = verify_steady(p, ss, d)
         assert rep.gradient_balance_l2 < 1e-12
         assert rep.mean_mismatch < 1e-13
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: f"{g.dim}d")
+    def test_streamed_forms_equal_batched(self, grid):
+        # one derivative at a time gives the bits of the batched forms
+        f = white_noise(grid, seed=30 + grid.dim)
+        for r in (1.2, 2.0):
+            assert w2r_norm(f, r) == batched_w2r_norm(f, r)
+        law = GammaLaw(1.4)
+        rho = Field(grid, 1.0 + 0.1 * white_noise(grid, seed=40 + grid.dim).values)
+        b = gaussian_bump_doping(grid, amplitude=0.3).b
+        np.testing.assert_array_equal(_flux_residual(law, rho, b),
+                                      three_component_residual(law, rho, b))
+
+    def test_working_set_is_a_few_scalar_fields(self):
+        # tracemalloc peaks above the start, in real 32^3 fields: verify
+        # streams its derivatives, the bump sums 1-D terms
+        import tracemalloc
+        grid = Grid(dim=3, n=32)
+        field_bytes = 8 * grid.npoints
+        d = gaussian_bump_doping(grid, amplitude=0.2, sigma=1.2)
+        p = params_for(d, gamma=1.4)
+        ss = solve_steady(p, d, tol=1e-11)
+        verify_steady(p, ss, d)          # the layout and norm weights cached
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                fn()
+                return (tracemalloc.get_traced_memory()[1] - start) / field_bytes
+            finally:
+                tracemalloc.stop()
+
+        assert peak(lambda: verify_steady(p, ss, d)) <= 12
+        assert peak(lambda: gaussian_bump_doping(grid, amplitude=0.2,
+                                                 sigma=1.2)) <= 5
 
     def test_w2r_norm_bounds_lr(self):
         rng = np.random.default_rng(0)
