@@ -103,8 +103,8 @@ def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
     keeps their Hermitian part (c_m + conj c_{-m}) / 2, the real field's,
     on the half grid."""
     rng = np.random.default_rng(seed)
-    m = grid.mode_numbers()
-    inband = np.all(np.abs(m) <= band, axis=0)
+    m = np.ix_(*[np.abs(grid.mode_axis())] * grid.dim)      # per-axis |m_a|
+    inband = np.all(np.broadcast_arrays(*[ma <= band for ma in m]), axis=0)
     inband[(0,) * grid.dim] = False
     axes, half = tuple(range(grid.dim)), grid.n // 2 + 1
 
@@ -136,7 +136,7 @@ class Background:
         self.rho_s = ss.rho_s
         self.grid = grid = ss.rho_s.grid
         self.layout = lay = real_layout(grid)
-        self.ik_mask = lay.ik * lay.mask
+        self.ik_mask = np.stack([ik * lay.mask for ik in lay.ik])
         self.mu_lap = -params.mu * lay.kmag ** 2
         self.hp_bar = params.h_prime_bar
         self.carried = ss.rho_s.values - params.rho_bar
@@ -151,22 +151,21 @@ class Background:
         self.work_hat = np.empty(half, dtype=complex)
 
 
-def _dot(a, b):
-    return sum(a[i] * b[i] for i in range(len(a)))
+def _dot(kn, u_hat, plane):
+    return sum(kn[i] * u_hat[i][plane] for i in range(len(kn)))
 
 
 def _viscous_hat(u_hat, bg: Background, out):
     """mu Lap u + (mu + mu') grad div u on the real layout, written into
     out; at Nyquist modes grad div keeps its even products (see
     `RealLayout`), added on the Nyquist planes alone."""
-    lay, params, div = bg.layout, bg.params, bg.work_hat
-    np.multiply(lay.ik, u_hat, out=out)
+    ik, params, div = bg.layout.ik, bg.params, bg.work_hat
+    for a in range(len(out)):
+        np.multiply(ik[a], u_hat[a], out=out[a])
     np.sum(out, axis=0, out=div)
-    np.multiply(lay.ik, div, out=out)
-    for a, plane in enumerate(lay.nyquist):
-        at = (slice(None),) + plane
-        kn = lay.k_nyquist[at]
-        out[a][plane] -= kn[a] * _dot(kn, u_hat[at])
+    for a, (plane, kn) in enumerate(bg.layout.nyquist):
+        np.multiply(ik[a], div, out=out[a])
+        out[a][plane] -= kn[a] * _dot(kn, u_hat, plane)
     out *= params.mu + params.mu_prime
     for a in range(len(out)):
         np.multiply(bg.mu_lap, u_hat[a], out=div)
@@ -261,9 +260,10 @@ class Integrator:
         lay = self.bg.layout
         zero = lay.kmag == 0.0
         safe = np.where(zero, 1.0, lay.kmag)
-        # khat without and with only its Nyquist entries (see RealLayout)
-        self._khat = lay.ik.imag / safe
-        self._khat_nyquist = lay.k_nyquist / safe
+        # khat without, and per Nyquist plane with only, its Nyquist entries
+        self._khat = np.stack([ik.imag / safe for ik in lay.ik])
+        self._khat_nyquist = [(plane, [k / safe[plane] for k in kn])
+                              for plane, kn in lay.nyquist]
         # dt and dt/2 propagators over the half grid in one call; the k = 0
         # mode is the identity (heat factor 1), so the velocity mean passes
         # through _apply_linear unchanged
@@ -281,11 +281,9 @@ class Integrator:
         rho_new, u_new = hodge_evolve(E, heat, self._khat, rho_hat, u_hat)
         # a Nyquist mode keeps the even part of the projection khat khat^T,
         # which for component a lives on the Nyquist plane of axis a
-        for a, plane in enumerate(self.bg.layout.nyquist):
-            at = (slice(None),) + plane
-            kn = self._khat_nyquist[at]
+        for a, (plane, kn) in enumerate(self._khat_nyquist):
             u_new[a][plane] += ((E[..., 1, 1][plane] - heat[plane])
-                                * _dot(kn, u_hat[at]) * kn[a])
+                                * _dot(kn, u_hat, plane) * kn[a])
         rho_new[(0,) * self.grid.dim] = 0.0      # density zero mode pinned
         return rho_new, u_new
 

@@ -34,7 +34,6 @@ __all__ = [
     "mode_exponential",
     "expm2",
     "hodge_evolve",
-    "assemble_full_symbol",
     "evolve_full_symbol",
     "initial_profile",
     "decay_curve",
@@ -219,9 +218,11 @@ def hodge_evolve(E, heat, khat, rho_hat, u_hat):
     return rho_new, u_new
 
 
-def assemble_full_symbol(params: FluidParams, kvec) -> np.ndarray:
-    """Unsplit (1+d) x (1+d) Fourier symbol A(k) of the linear operator,
-    acting on (rho_hat, u_hat); the evolution is exp(-t A)."""
+def evolve_full_symbol(params: FluidParams, kvec, t: float, state0):
+    """Oracle evolution of one Fourier mode: exp(-t A) applied to
+    (rho_hat, u_hat), with A(k) the unsplit (1+d) x (1+d) Fourier symbol of
+    the linear operator and the dense matrix exponential."""
+    from scipy.linalg import expm
     k = np.asarray(kvec, dtype=float)
     d = k.size
     k2 = float(k @ k)
@@ -233,13 +234,6 @@ def assemble_full_symbol(params: FluidParams, kvec) -> np.ndarray:
     A[1:, 0] = 1j * k * (hb + 1.0 / k2)
     A[1:, 1:] = (params.mu * k2 * np.eye(d)
                  + (params.mu + params.mu_prime) * np.outer(k, k)) / rb
-    return A
-
-
-def evolve_full_symbol(params: FluidParams, kvec, t: float, state0):
-    """Oracle evolution of one Fourier mode via the dense matrix exponential."""
-    from scipy.linalg import expm
-    A = assemble_full_symbol(params, kvec)
     return expm(-t * A) @ np.asarray(state0, dtype=complex)
 
 
@@ -299,17 +293,12 @@ class LinearDecayQuery:
             raise ValueError("parts must be both/compressible/incompressible")
 
 
-def _radial_panels():
-    """24 log-spaced panels on [1e-6, 1], then 8 equal ones on [1, 8]."""
-    edges = list(np.geomspace(1e-6, 1.0, 25))
-    edges += list(np.linspace(1.0, 8.0, 9))[1:]
-    return edges
-
-
 def _radial_nodes(nodes_per_panel):
-    """Composite Gauss-Legendre nodes and weights on the radial panels."""
+    """Composite Gauss-Legendre nodes and weights on the radial panels: 24
+    log-spaced ones on [1e-6, 1], then 8 equal ones on [1, 8]."""
     gl_x, gl_w = leggauss(nodes_per_panel)
-    edges = np.array(_radial_panels())
+    edges = np.concatenate((np.geomspace(1e-6, 1.0, 25),
+                            np.linspace(1.0, 8.0, 9)[1:]))
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     return (mid + half * gl_x).ravel(), (gl_w * half).ravel()
@@ -476,10 +465,9 @@ def fit_exponent(curve, window=None) -> FitResult:
         raise ValueError("all norms must be positive for a log-log fit")
     x, y = np.log(t), np.log(v)
     A = np.vstack([x, np.ones_like(x)]).T
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope = float(coef[0])
-    fitted = A @ coef
-    resid = y - fitted
+    resid = y - A @ coef
     rms = float(np.sqrt(np.mean(resid ** 2)))
     denom = float(np.sum((x - x.mean()) ** 2))
     dof = max(len(x) - 2, 1)

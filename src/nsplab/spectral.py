@@ -7,7 +7,8 @@ identity reads ||f||^2 = L^dim * sum |c_k|^2.
 
 One layout is used, and this module is the only one that knows it: the
 real-FFT half grid (n, ..., n, n/2 + 1) of `transform`/`inverse_transform`
-and `Field.coefficients()`, whose symbols are `real_layout`'s.  The
+and `Field.coefficients()`, whose symbols are `real_layout`'s (``ik`` and
+``k_nyquist`` as per-axis factors that broadcast against it).  The
 multipliers, the norms and the time integrator all work there.  Every
 transform goes through `scipy.fft`, which the first transform imports:
 `import nsplab` loads no scipy module, and a run that makes no FFT never
@@ -17,7 +18,7 @@ does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from math import isclose
 
 import numpy as np
@@ -85,16 +86,11 @@ class Grid:
         """Physical coordinates along one axis."""
         return np.arange(self.n) * self.dx
 
-    def mode_numbers(self):
-        """Integer mode numbers m per axis, shape (dim, n, ..., n)."""
-        return _modes(self.dim, self.n)
-
-
-@lru_cache(maxsize=32)
-def _modes(dim, n):
-    m = np.arange(n, dtype=float)               # scipy.fft.fftfreq(n, 1/n)
-    m[n // 2:] -= n
-    return np.stack(np.meshgrid(*([m] * dim), indexing="ij"))
+    def mode_axis(self):
+        """Integer mode numbers m along one axis, in FFT order."""
+        m = np.arange(self.n, dtype=float)      # scipy.fft.fftfreq(n, 1/n)
+        m[self.n // 2:] -= self.n
+        return m
 
 
 @dataclass(frozen=True)
@@ -106,36 +102,42 @@ class RealLayout:
     mode itself.  A real field keeps only the even part of a symbol there,
     so ``ik`` holds i k with those entries zeroed, and ``k_nyquist`` the
     components it dropped: an even product k_a k_b survives as
-    k0_a k0_b + kN_a kN_b, with k0 = ik / i.
+    k0_a k0_b + kN_a kN_b, with k0 = ik / i.  Component a of each varies
+    along axis a only and is kept as that factor, of shape (1, ..., n_a,
+    ..., 1) with n_a = n, or n/2 + 1 on the last axis, which broadcasts
+    against a half-grid scalar; ``kmag`` and ``mask`` are dense.
     """
 
-    ik: np.ndarray            # (dim, n, ..., n/2 + 1); zero at Nyquist entries
-    k_nyquist: np.ndarray     # k - ik / i, nonzero only at Nyquist entries
-    kmag: np.ndarray          # |k|
+    ik: tuple                 # per-axis factors; zero at Nyquist entries
+    k_nyquist: tuple          # k - ik / i, nonzero only at Nyquist entries
+    kmag: np.ndarray          # |k|, (n, ..., n, n/2 + 1)
     mask: np.ndarray          # 2/3 rule: |m_a| <= n/3 on every axis
 
-    @property
+    @cached_property
     def nyquist(self):
         """Per axis a, the index of its Nyquist plane |m_a| = n/2 in a
-        half-grid scalar: the only entries where ``k_nyquist[a]`` is nonzero."""
-        half = self.ik.shape[-1] - 1            # n/2 on every axis
-        return [(slice(None),) * a + (half,) for a in range(len(self.ik))]
+        half-grid scalar, the only entries where ``k_nyquist[a]`` is
+        nonzero, and the ``k_nyquist`` components on that plane (views)."""
+        shape, half = self.kmag.shape, self.kmag.shape[-1] - 1    # n/2
+        planes = [(slice(None),) * a + (half,) for a in range(len(shape))]
+        return [(p, [np.broadcast_to(k, shape)[p] for k in self.k_nyquist])
+                for p in planes]
 
 
 @lru_cache(maxsize=32)
 def real_layout(grid: Grid) -> RealLayout:
-    """The half-grid symbols of ``grid`` (see `RealLayout`), cached; their
-    mode numbers are broadcast from the 1-D ones of an axis."""
-    n = grid.n
-    m = _modes(1, n)[0]
-    m = np.stack(np.broadcast_arrays(*np.ix_(*[m] * (grid.dim - 1),
-                                             m[: n // 2 + 1])))
-    k = (2.0 * np.pi / grid.length) * m
-    k_nyq = np.where(np.abs(m) == n // 2, k, 0.0)
-    lay = RealLayout(ik=1j * (k - k_nyq), k_nyquist=k_nyq,
-                     kmag=np.sqrt(np.sum(k * k, axis=0)),
-                     mask=np.all(np.abs(m) <= n / 3.0, axis=0))
-    for a in vars(lay).values():
+    """The half-grid symbols of ``grid`` (see `RealLayout`), cached; each
+    is built from the 1-D mode numbers of an axis."""
+    n, m = grid.n, grid.mode_axis()
+    m = np.ix_(*[m] * (grid.dim - 1), m[: n // 2 + 1])     # per-axis factors
+    k = [(2.0 * np.pi / grid.length) * ma for ma in m]
+    k_nyq = tuple(np.where(abs(ma) == n // 2, ka, 0.0) for ma, ka in zip(m, k))
+    lay = RealLayout(
+        ik=tuple(1j * (ka - kn) for ka, kn in zip(k, k_nyq)), k_nyquist=k_nyq,
+        kmag=np.sqrt(reduce(np.add, [ka * ka for ka in k])),
+        mask=np.all(np.broadcast_arrays(*[np.abs(ma) <= n / 3.0 for ma in m]),
+                    axis=0))
+    for a in (*lay.ik, *lay.k_nyquist, lay.kmag, lay.mask):
         a.flags.writeable = False       # shared by every caller
     return lay
 
@@ -221,9 +223,16 @@ def _require_mean_zero(f, what):
 
 def _apply(f: Field, sym, contract=False) -> Field:
     """The field whose coefficients are f's times the half-grid symbol
-    ``sym``, summed over the component axis with ``contract``; the product
-    is a temporary, inverted in place."""
-    hat = f.coefficients() * sym
+    ``sym`` (component a times ``sym[a]`` for per-axis factors), summed over
+    the component axis with ``contract``; the product is a temporary,
+    inverted in place."""
+    c = f.coefficients()
+    if isinstance(sym, tuple):
+        hat = np.empty((len(sym),) + c.shape[-f.grid.dim:], dtype=complex)
+        for a, s in enumerate(sym):
+            np.multiply(c[a] if f.is_vector else c, s, out=hat[a])
+    else:
+        hat = c * sym
     if contract:
         hat = hat.sum(axis=0)
     return Field(f.grid, inverse_transform(f.grid, hat, overwrite=True))
@@ -269,12 +278,17 @@ def inverse_laplacian(f: Field) -> Field:
 def lp_norm(f: Field, p: float) -> float:
     """L^p norm by equal-weight grid quadrature; p may be inf."""
     v = f.values
-    mag = np.sqrt(np.sum(v ** 2, axis=0)) if f.is_vector else np.abs(v)
+    mag = np.square(v[0]) if f.is_vector else np.abs(v)
+    if f.is_vector:         # one square at a time: no vector temporary
+        for c in v[1:]:
+            mag += np.square(c)
+        np.sqrt(mag, out=mag)
     if np.isinf(p):
         return float(mag.max())
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float((np.sum(mag ** p) * f.grid.cell_volume) ** (1.0 / p))
+    return float((np.sum(np.power(mag, p, out=mag)) * f.grid.cell_volume)
+                 ** (1.0 / p))
 
 
 @lru_cache(maxsize=32)

@@ -262,7 +262,7 @@ def w2r_norm(f: Field, r: float) -> float:
     temporary, inverted in place there, and its square accumulated."""
     grid = f.grid
     ik, f_hat = real_layout(grid).ik, f.coefficients()
-    tmp = np.empty(ik.shape[1:], dtype=complex)
+    tmp = np.empty_like(f_hat)
     grad_sq, hess_sq = np.zeros(grid.shape), np.zeros(grid.shape)
     for a in range(grid.dim):
         for b in (None, *range(a, grid.dim)):   # the gradient, a Hessian row

@@ -170,7 +170,7 @@ def _remainder_gamma(gamma, rho_s, total):
     acc *= xs
     acc *= xs
     if everywhere:
-        return g * rho_s ** p * acc
+        return np.multiply(acc, g * rho_s ** p, out=acc)
     out = np.empty_like(x)
     out[small] = acc
     xb = x[~small]
@@ -181,7 +181,7 @@ def _remainder_gamma(gamma, rho_s, total):
         out[~small] = ((1.0 + xb) * np.expm1((p - 1.0) * L) - (p - 1.0) * xb) / p
     else:
         out[~small] = (np.expm1(p * L) - p * xb) / p
-    return g * rho_s ** p * out
+    return np.multiply(out, g * rho_s ** p, out=out)
 
 
 def remainder(law: PressureLaw, pert: Field, rho_s: Field | float) -> Field:

@@ -26,9 +26,19 @@ def physical(grid, spec) -> Field:
     return Field(grid, np.ascontiguousarray(vals.real))
 
 
+def mode_numbers(grid) -> np.ndarray:
+    """Integer mode numbers m per axis, shape (dim, n, ..., n)."""
+    return np.stack(np.meshgrid(*[grid.mode_axis()] * grid.dim, indexing="ij"))
+
+
+def stacked(factors) -> np.ndarray:
+    """A `RealLayout` symbol's per-axis factors as one (dim, ...) stack."""
+    return np.stack(np.broadcast_arrays(*factors))
+
+
 def wavevectors(grid) -> np.ndarray:
     """k = (2 pi / L) m, shape (dim, n, ..., n)."""
-    return (2.0 * np.pi / grid.length) * grid.mode_numbers()
+    return (2.0 * np.pi / grid.length) * mode_numbers(grid)
 
 
 def wavenumber_magnitude(grid) -> np.ndarray:

@@ -178,7 +178,8 @@ class TestStates:
         s = random_smooth_state(GRID, seed=3, amplitude=0.02, band=3)
         size = np.hypot(sobolev_norm(s.rho, 4), sobolev_norm(s.u, 4))
         assert size == pytest.approx(0.02, rel=1e-12)
-        m = np.max(np.abs(GRID.mode_numbers()), axis=0)[..., :GRID.n // 2 + 1]
+        m = np.max(np.abs(fullgrid.mode_numbers(GRID)), axis=0)
+        m = m[..., :GRID.n // 2 + 1]
         assert np.max(np.abs(s.rho.coefficients()[m > 3])) < 1e-16
 
     def test_random_smooth_deterministic(self):

@@ -42,15 +42,18 @@ class TestGrid:
         # the half grid's k = ik / i + k_nyquist holds modes 0..n/2, the
         # last as -n/2
         lay = real_layout(Grid(dim=1, n=8))
-        np.testing.assert_allclose(lay.ik.imag[0] + lay.k_nyquist[0],
+        ik, k_nyq = fullgrid.stacked(lay.ik), fullgrid.stacked(lay.k_nyquist)
+        np.testing.assert_allclose(ik.imag[0] + k_nyq[0],
                                    [0, 1, 2, 3, -4], atol=1e-14)
         # the mode numbers are scipy's fftfreq(n, 1/n), bit for bit
         import scipy.fft
         for n in (8, 16, 32, 64, 128, 256):
             m = scipy.fft.fftfreq(n, 1.0 / n)
             for dim in (1, 2, 3):
+                grid = Grid(dim=dim, n=n)
+                np.testing.assert_array_equal(grid.mode_axis(), m)
                 want = np.stack(np.meshgrid(*([m] * dim), indexing="ij"))
-                np.testing.assert_array_equal(Grid(dim=dim, n=n).mode_numbers(),
+                np.testing.assert_array_equal(fullgrid.mode_numbers(grid),
                                               want)
 
 
@@ -143,7 +146,7 @@ class TestRealLayout:
     @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
     def test_gradient_matches_complex(self, grid):
         f = random_field(grid, 21)
-        c = real_layout(grid).ik * f.coefficients()
+        c = fullgrid.stacked(real_layout(grid).ik) * f.coefficients()
         kept = c.copy()
         got = inverse_transform(grid, c)
         np.testing.assert_array_equal(c, kept)
@@ -182,10 +185,11 @@ class TestRealLayout:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_layout_equals_sliced_full_grid_modes(self, dim):
         # built from 1-D mode numbers, the layout has the bits of the one
-        # sliced from the full-grid `mode_numbers`
+        # sliced from the full-grid `mode_numbers`; ik and k_nyquist are
+        # compared as the dense stacks of their per-axis factors
         for n in (8, 16, 32, 64, 128):
             grid = Grid(dim=dim, n=n)
-            m = grid.mode_numbers()[..., : n // 2 + 1]
+            m = fullgrid.mode_numbers(grid)[..., : n // 2 + 1]
             k = (2.0 * np.pi / grid.length) * m
             k_nyq = np.where(np.abs(m) == n // 2, k, 0.0)
             want = {"ik": 1j * (k - k_nyq), "k_nyquist": k_nyq,
@@ -194,16 +198,35 @@ class TestRealLayout:
             lay = real_layout(grid)
             for name, value in want.items():
                 got = getattr(lay, name)
+                if isinstance(got, tuple):
+                    got = fullgrid.stacked(got)
                 assert got.dtype == value.dtype, (n, name)
                 np.testing.assert_array_equal(got, value, err_msg=f"{n} {name}")
 
     @pytest.mark.parametrize("grid", [GRID2, GRID3, Grid(dim=1, n=16)])
     def test_nyquist_planes_hold_k_nyquist(self, grid):
         lay = real_layout(grid)
-        for a, plane in enumerate(lay.nyquist):
+        k_nyq = fullgrid.stacked(lay.k_nyquist)
+        for a, (plane, kn) in enumerate(lay.nyquist):
             on_plane = np.zeros(lay.kmag.shape, dtype=bool)
             on_plane[plane] = True
-            np.testing.assert_array_equal(lay.k_nyquist[a] != 0, on_plane)
+            np.testing.assert_array_equal(k_nyq[a] != 0, on_plane)
+            # and the components it lists are k_nyquist's on that plane
+            np.testing.assert_array_equal(kn, k_nyq[(slice(None),) + plane])
+
+    def test_layout_keeps_per_axis_factors(self):
+        # ik and k_nyquist are per-axis factors; only kmag and the mask
+        # are half-grid arrays
+        grid = Grid(dim=3, n=64)
+        lay = real_layout(grid)
+        for factors in (lay.ik, lay.k_nyquist):
+            for a, f in enumerate(factors):
+                want = [1] * 3
+                want[a] = 64 if a < 2 else 33
+                assert f.shape == tuple(want)
+        total = sum(a.nbytes for a in (*lay.ik, *lay.k_nyquist, lay.kmag,
+                                       lay.mask))
+        assert total <= lay.kmag.nbytes + lay.mask.nbytes + 4096
 
     @pytest.mark.parametrize("grid", [GRID2, GRID3])
     def test_grad_div_matches_complex(self, grid):
@@ -211,11 +234,11 @@ class TestRealLayout:
         v = Field(grid, np.stack([random_field(grid, 30 + a).values
                                   for a in range(grid.dim)]))
         lay = real_layout(grid)
+        ik, k_nyq = fullgrid.stacked(lay.ik), fullgrid.stacked(lay.k_nyquist)
         c = v.coefficients()
         got = inverse_transform(
-            grid, lay.ik * sum(lay.ik[a] * c[a] for a in range(grid.dim))
-            - lay.k_nyquist * sum(lay.k_nyquist[a] * c[a]
-                                  for a in range(grid.dim)))
+            grid, ik * sum(ik[a] * c[a] for a in range(grid.dim))
+            - k_nyq * sum(k_nyq[a] * c[a] for a in range(grid.dim)))
         k = fullgrid.wavevectors(grid)
         spec = fullgrid.spectrum(v)
         div = sum(1j * k[a] * spec[a] for a in range(grid.dim))
@@ -230,6 +253,30 @@ class TestNorms:
         f = Field(g, np.full(g.shape, 3.0))
         assert lp_norm(f, 1.0) == pytest.approx(12.0)       # 3 * area 4
         assert lp_norm(f, np.inf) == pytest.approx(3.0)
+
+    def test_lp_norm_temporaries(self):
+        # tracemalloc peaks above the start, in real 64^3 fields, at r = 1.2:
+        # the magnitude is the one temporary, raised to the power in place
+        import tracemalloc
+        grid = Grid(dim=3, n=64)
+        rng = np.random.default_rng(12)
+        s = Field(grid, rng.normal(size=grid.shape))
+        v = Field(grid, rng.normal(size=(3,) + grid.shape))
+        for f, bound in ((s, 1.0), (v, 2.0)):
+            # the whole-array formula, whose bits lp_norm keeps
+            mag = (np.sqrt(np.sum(f.values ** 2, axis=0)) if f.is_vector
+                   else np.abs(f.values))
+            want = (np.sum(mag ** 1.2) * grid.cell_volume) ** (1.0 / 1.2)
+            del mag
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                got = lp_norm(f, 1.2)
+                peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert got == want
+            assert peak <= bound * 8 * grid.npoints + 4096, (f.ncomp, peak)
 
     def test_grad_norm_matches_gradient(self):
         f = dealias(random_field(GRID3, 7))
