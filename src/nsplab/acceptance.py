@@ -38,9 +38,7 @@ def _gate(name, passed, detail):
     return GateResult(name=name, passed=bool(passed), detail=detail)
 
 
-# ---------------------------------------------------------------------------
 # 1. Fitted linear decay exponents (1 <= p < 3/2, q = 2)
-# ---------------------------------------------------------------------------
 
 def gates_decay_fits() -> list:
     t0 = time.perf_counter()
@@ -66,9 +64,7 @@ def gates_decay_fits() -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
 # 2. Closed-formula target exponents
-# ---------------------------------------------------------------------------
 
 def gates_target_exponents() -> list:
     eps = 1e-15
@@ -90,9 +86,7 @@ def gates_target_exponents() -> list:
     ]
 
 
-# ---------------------------------------------------------------------------
 # 3. Steady states on 64^3
-# ---------------------------------------------------------------------------
 
 def gates_steady() -> list:
     t0 = time.perf_counter()
@@ -135,9 +129,7 @@ def gates_steady() -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
 # 4. Analytic oracles
-# ---------------------------------------------------------------------------
 
 def gates_oracles() -> list:
     from scipy.linalg import expm as scipy_expm
@@ -201,9 +193,7 @@ def gates_oracles() -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
 # 5. Nonlinear evolution on 32^3
-# ---------------------------------------------------------------------------
 
 def _state_diff(a, b):
     return float(np.sqrt(np.sum((a.rho.values - b.rho.values) ** 2)
@@ -290,9 +280,7 @@ def gates_nonlinear() -> list:
     return out
 
 
-# ---------------------------------------------------------------------------
 # 6. Spectral toolbox
-# ---------------------------------------------------------------------------
 
 def gates_spectral() -> list:
     rng = np.random.default_rng(23)
@@ -332,8 +320,6 @@ def gates_spectral() -> list:
                      f"max ratio {worst!r} (bound 1 + 1e-12)"))
     return out
 
-
-# ---------------------------------------------------------------------------
 
 _GROUPS = [
     ("linear decay fits", gates_decay_fits),

@@ -16,9 +16,9 @@ import numpy as np
 
 from .spectral import (Field, Grid, dealias, frac_derivative, grad_norm,
                        inverse_laplacian, inverse_transform, lp_norm,
-                       real_layout, sobolev_norm, transform)
+                       real_layout, sobolev_norm)
 from .steady import SteadyState
-from .semigroup import ModeSymbol, hodge_evolve, mode_exponential
+from .semigroup import ModeSymbol, hodge_evolve, hodge_factors, mode_exponential
 from .thermo import FluidParams, remainder
 
 __all__ = [
@@ -136,8 +136,9 @@ class Background:
         self.rho_s = ss.rho_s
         self.grid = grid = ss.rho_s.grid
         self.layout = lay = real_layout(grid)
-        self.ik_mask = np.stack([ik * lay.mask for ik in lay.ik])
-        self.mu_lap = -params.mu * lay.kmag ** 2
+        # complex: numpy casts a real factor of a complex product first
+        self.mu_lap = (-params.mu * lay.kmag ** 2).astype(complex)
+        self.grad_div = [(params.mu + params.mu_prime) * ik for ik in lay.ik]
         self.hp_bar = params.h_prime_bar
         self.carried = ss.rho_s.values - params.rho_bar
         self.hp_jump = np.asarray(params.law.h_prime(ss.rho_s.values)) - self.hp_bar
@@ -148,7 +149,7 @@ class Background:
         self.state_hat = np.empty((1 + dim,) + half, dtype=complex)
         self.prod = np.empty((2 * dim + 1,) + grid.shape)
         self.work = np.empty((1 + dim,) + grid.shape)      # scalar, vector
-        self.work_hat = np.empty(half, dtype=complex)
+        self.work_hat = np.empty((3,) + half, dtype=complex)
 
 
 def _dot(kn, u_hat, plane):
@@ -159,17 +160,15 @@ def _viscous_hat(u_hat, bg: Background, out):
     """mu Lap u + (mu + mu') grad div u on the real layout, written into
     out; at Nyquist modes grad div keeps its even products (see
     `RealLayout`), added on the Nyquist planes alone."""
-    ik, params, div = bg.layout.ik, bg.params, bg.work_hat
-    for a in range(len(out)):
-        np.multiply(ik[a], u_hat[a], out=out[a])
-    np.sum(out, axis=0, out=div)
+    ik, mu_sum = bg.layout.ik, bg.params.mu + bg.params.mu_prime
+    div, tmp = bg.work_hat[:2]
+    np.multiply(ik[0], u_hat[0], out=div)
+    for a in range(1, len(out)):
+        div += np.multiply(ik[a], u_hat[a], out=tmp)
     for a, (plane, kn) in enumerate(bg.layout.nyquist):
-        np.multiply(ik[a], div, out=out[a])
-        out[a][plane] -= kn[a] * _dot(kn, u_hat, plane)
-    out *= params.mu + params.mu_prime
-    for a in range(len(out)):
-        np.multiply(bg.mu_lap, u_hat[a], out=div)
-        out[a] += div
+        np.multiply(bg.mu_lap, u_hat[a], out=out[a])
+        out[a] += np.multiply(bg.grad_div[a], div, out=tmp)
+        out[a][plane] -= mu_sum * kn[a] * _dot(kn, u_hat, plane)
 
 
 def nonlinear_terms(rho, u, u_hat, bg: Background):
@@ -179,17 +178,17 @@ def nonlinear_terms(rho, u, u_hat, bg: Background):
 
     rho, u are one stage's physical samples and u_hat the `transform`
     coefficients of u.  Advection is grad(|u|^2 / 2) - u x curl u:
-    curl u, the viscous term and 1/(rho_s + rho) - 1/rho_bar, masked into
-    bg.hat by `dealias`, come back in one in-place inverse transform there,
-    and the products, |u|^2 / 2 in the scalar under grad, go forward in one
-    and are dealiased by the 2/3 mask; with `Integrator._state`, a 3-D step
-    transforms 38 scalar fields in 8 calls.  The convective form u . grad u
-    aliases alike only for u inside the 2/3 ball (|m_a| <= n/3).  N1 and N2
-    are built in place in the forward transform's fresh output.
+    curl u, the viscous term and 1/(rho_s + rho) - 1/rho_bar, the last put
+    in bg.hat by `dealias`, come back in one in-place inverse transform
+    there, and the products, |u|^2 / 2 in the scalar under grad, go forward
+    in one `dealias`, which transforms only the 2/3 ball; with `_state`, a
+    3-D step transforms 38 scalar fields in 8 transforms.  The convective
+    form u . grad u aliases alike only for u inside the ball (|m_a| <= n/3).
+    N1 and N2 are built in place in the forward transform's fresh output.
     """
     grid, lay, params = bg.grid, bg.layout, bg.params
     dim, pairs = grid.dim, bg.curl
-    hat, prod, tmp = bg.hat, bg.prod, bg.work_hat
+    hat, prod, tmp = bg.hat, bg.prod, bg.work_hat[0]
     s, vec = bg.work[0], bg.work[1:]
     for c, (a, b) in enumerate(pairs):
         np.multiply(lay.ik[a], u_hat[b], out=hat[c])
@@ -218,14 +217,13 @@ def nonlinear_terms(rho, u, u_hat, bg: Background):
     np.sum(np.multiply(u, u, out=vec), axis=0, out=s)
     scal += np.multiply(0.5, s, out=s)
     del phys, omega, visc, inv_jump      # free before the forward transform
-    c = transform(grid, prod)
+    c = dealias(Field(grid, prod), coefficients=True)
 
-    # N2 = mask c_mom - ik_mask c_scal, then N1 = -ik_mask . c_flux over c_scal
+    # N2 = c_mom - ik c_scal, then N1 = -ik . c_flux over c_scal
     n1, n2 = c[2 * dim], c[dim:2 * dim]
-    n2 *= lay.mask
     for a in range(dim):
-        n2[a] -= np.multiply(bg.ik_mask[a], n1, out=tmp)
-    c[:dim] *= bg.ik_mask
+        n2[a] -= np.multiply(lay.ik[a], n1, out=tmp)
+        c[a] *= lay.ik[a]
     np.negative(np.sum(c[:dim], axis=0, out=n1), out=n1)
     return n1, n2
 
@@ -261,7 +259,7 @@ class Integrator:
         zero = lay.kmag == 0.0
         safe = np.where(zero, 1.0, lay.kmag)
         # khat without, and per Nyquist plane with only, its Nyquist entries
-        self._khat = np.stack([ik.imag / safe for ik in lay.ik])
+        self._khat = np.stack([ik.imag / safe for ik in lay.ik]).astype(complex)
         self._khat_nyquist = [(plane, [k / safe[plane] for k in kn])
                               for plane, kn in lay.nyquist]
         # dt and dt/2 propagators over the half grid in one call; the k = 0
@@ -271,19 +269,19 @@ class Integrator:
         E, heat = mode_exponential(ModeSymbol.from_params(params, safe), t)
         E[:, zero] = np.eye(2)
         heat[:, zero] = 1.0
-        # entries first in memory, so each E[..., i, j] is contiguous
-        E = np.moveaxis(np.moveaxis(E, (-2, -1), (1, 2)).copy(), (1, 2), (-2, -1))
-        self._prop_full = E[0], heat[0]
-        self._prop_half = E[1], heat[1]
+        self._prop_full, self._prop_half = map(hodge_factors, E, heat)
 
-    def _apply_linear(self, rho_hat, u_hat, prop):
-        E, heat = prop
-        rho_new, u_new = hodge_evolve(E, heat, self._khat, rho_hat, u_hat)
+    def _apply_linear(self, rho_hat, u_hat, prop, in_place=False):
         # a Nyquist mode keeps the even part of the projection khat khat^T,
-        # which for component a lives on the Nyquist plane of axis a
-        for a, (plane, kn) in enumerate(self._khat_nyquist):
-            u_new[a][plane] += ((E[..., 1, 1][plane] - heat[plane])
-                                * _dot(kn, u_hat, plane) * kn[a])
+        # for component a on the Nyquist plane of axis a; read before an
+        # in-place apply overwrites u_hat
+        nyquist = [(plane, prop[3][plane] * _dot(kn, u_hat, plane) * kn[a])
+                   for a, (plane, kn) in enumerate(self._khat_nyquist)]
+        rho_new, u_new = hodge_evolve(
+            prop, self._khat, rho_hat, u_hat,
+            out=(rho_hat, u_hat) if in_place else None, work=self.bg.work_hat)
+        for a, (plane, add) in enumerate(nyquist):
+            u_new[a][plane] += add
         rho_new[(0,) * self.grid.dim] = 0.0      # density zero mode pinned
         return rho_new, u_new
 
@@ -318,7 +316,7 @@ class Integrator:
         m1, m2 = self._apply_linear(
             *nonlinear_terms(mid.rho.values, mid.u.values,
                              mid.u.coefficients(), self.bg),
-            self._prop_half)
+            self._prop_half, in_place=True)
 
         rho_f, u_f = self._apply_linear(rho0, u0, self._prop_full)
         rho_f += np.multiply(m1, dt, out=m1)

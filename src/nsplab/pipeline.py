@@ -114,9 +114,7 @@ class DecayReport:
     curve_file: str | None = None
 
 
-# ---------------------------------------------------------------------------
 # Output helpers
-# ---------------------------------------------------------------------------
 
 def render_float(x: float) -> str:
     """17-significant-digit decimal rendering (round-trips any float64)."""
@@ -187,9 +185,7 @@ def run_decay_query(query: LinearDecayQuery, times, params=None,
     return curve, fit, report
 
 
-# ---------------------------------------------------------------------------
 # Pipeline
-# ---------------------------------------------------------------------------
 
 def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
     """Run every stage the config declares, in deterministic order:

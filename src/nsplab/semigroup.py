@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -33,6 +33,7 @@ __all__ = [
     "FitResult",
     "mode_exponential",
     "expm2",
+    "hodge_factors",
     "hodge_evolve",
     "evolve_full_symbol",
     "initial_profile",
@@ -199,22 +200,41 @@ def mode_exponential(sym: ModeSymbol, t):
     return E, heat
 
 
-def hodge_evolve(E, heat, khat, rho_hat, u_hat):
-    """Apply the Hodge-split mode semigroup to (rho_hat, u_hat).
+def hodge_factors(E, heat):
+    """The per-mode factors of `hodge_evolve`, from 2x2 matrices E and heat
+    factors: (E00, i E01, -i E10, E11 - heat, heat), complex, so that each
+    product of the apply is one complex multiply."""
+    return tuple(np.asarray(f, dtype=complex) for f in (
+        E[..., 0, 0], 1j * E[..., 0, 1], -1j * E[..., 1, 0],
+        E[..., 1, 1] - heat, heat))
 
-    The longitudinal amplitude d = i khat . u_hat evolves with rho_hat
-    through the 2x2 matrices E; the transverse velocity decays by the heat
-    factor.  khat and u_hat carry the vector index first; E, heat and
-    rho_hat are per mode.  Works for one mode or a whole grid.
-    """
-    proj = sum(khat[a] * u_hat[a] for a in range(len(khat)))
-    dlong = 1j * proj                  # Lambda^{-1} div u amplitude
-    rho_new = E[..., 0, 0] * rho_hat + E[..., 0, 1] * dlong
-    d_new = -1j * (E[..., 1, 0] * rho_hat + E[..., 1, 1] * dlong)
-    # one component at a time, so no temporary holds a whole vector
-    u_new = np.empty(np.shape(u_hat), dtype=complex)
+
+def hodge_evolve(factors, khat, rho_hat, u_hat, out=None, work=None):
+    """Apply the Hodge-split mode semigroup, given as `hodge_factors`: the
+    longitudinal amplitude d = i khat . u evolves with rho through E and
+    the transverse velocity decays by heat, i.e.
+
+        rho' = E00 rho + i E01 (khat . u),
+        u'_a = heat u_a + (-i E10 rho + (E11 - heat) (khat . u)) khat_a,
+
+    khat and u_hat carry the vector index first; one mode has shape (1,).
+    ``out`` = (rho', u') may be the inputs; ``work`` holds three per-mode
+    complex temporaries."""
+    e00, ie01, mie10, e11h, heat = factors
+    shape = np.shape(rho_hat)
+    rho_new, u_new = out or (np.empty(shape, complex),
+                             np.empty(np.shape(u_hat), complex))
+    proj, w, tmp = np.empty((3,) + shape, complex) if work is None else work
+    np.multiply(khat[0], u_hat[0], out=proj)
+    for a in range(1, len(khat)):
+        proj += np.multiply(khat[a], u_hat[a], out=tmp)
+    np.multiply(mie10, rho_hat, out=w)      # before rho' overwrites rho
+    w += np.multiply(e11h, proj, out=tmp)
+    np.multiply(e00, rho_hat, out=rho_new)
+    rho_new += np.multiply(ie01, proj, out=tmp)
     for a in range(len(khat)):
-        u_new[a] = d_new * khat[a] + heat * (u_hat[a] - proj * khat[a])
+        np.multiply(heat, u_hat[a], out=u_new[a])
+        u_new[a] += np.multiply(w, khat[a], out=tmp)
     return rho_new, u_new
 
 
@@ -243,13 +263,12 @@ def split_evolve_mode(params: FluidParams, kvec, t: float, state0):
     xi = float(np.linalg.norm(k))
     state0 = np.asarray(state0, dtype=complex)
     E, heat = mode_exponential(ModeSymbol.from_params(params, xi), t)
-    rho_t, u_t = hodge_evolve(E, heat, k / xi, state0[0], state0[1:])
-    return np.concatenate(([rho_t], u_t))
+    rho_t, u_t = hodge_evolve(hodge_factors(E, heat), (k / xi)[:, None],
+                              state0[:1], state0[1:, None])
+    return np.concatenate((rho_t, u_t[:, 0]))
 
 
-# ---------------------------------------------------------------------------
 # Whole-space decay curves by radial quadrature
-# ---------------------------------------------------------------------------
 
 def initial_profile(p: float = 1.0):
     """Spectral surrogate profile for L^p initial data.
@@ -293,15 +312,19 @@ class LinearDecayQuery:
             raise ValueError("parts must be both/compressible/incompressible")
 
 
+@lru_cache(maxsize=8)
 def _radial_nodes(nodes_per_panel):
     """Composite Gauss-Legendre nodes and weights on the radial panels: 24
-    log-spaced ones on [1e-6, 1], then 8 equal ones on [1, 8]."""
+    log-spaced ones on [1e-6, 1], then 8 equal ones on [1, 8]; cached and
+    read-only, since every table shares them."""
     gl_x, gl_w = leggauss(nodes_per_panel)
     edges = np.concatenate((np.geomspace(1e-6, 1.0, 25),
                             np.linspace(1.0, 8.0, 9)[1:]))
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    return (mid + half * gl_x).ravel(), (gl_w * half).ravel()
+    xi, w = (mid + half * gl_x).ravel(), (gl_w * half).ravel()
+    xi.flags.writeable = w.flags.writeable = False
+    return xi, w
 
 
 class _ModeTable:
@@ -339,21 +362,6 @@ def shared_exponentials():
         _shared_tables.reset(token)
 
 
-def _mode_table(params, times, nodes_per_panel) -> _ModeTable:
-    """The scope's table for these arguments, built on first request;
-    outside a scope a new table on every call."""
-    fluid = ModeSymbol.fluid_scalars(params)
-    key = (*fluid, times.tobytes(), nodes_per_panel)
-    tables = _shared_tables.get()
-    table = tables.get(key) if tables is not None else None
-    if table is None:
-        xi, w = _radial_nodes(nodes_per_panel)
-        table = _ModeTable(ModeSymbol(xi, *fluid), w, times.copy())
-        if tables is not None:
-            tables[key] = table
-    return table
-
-
 def _l2_norms(query, params, times, profile, nodes_per_panel):
     """L^2 norms at every time, weighting the squared row norms of the
     mode table's exponentials over its radial nodes.
@@ -363,7 +371,17 @@ def _l2_norms(query, params, times, profile, nodes_per_panel):
     linear estimates; this removes the plasma-oscillation beating from the
     reported norms without changing the decay exponent.
     """
-    table = _mode_table(params, times, nodes_per_panel)
+    # the scope's table for these arguments, built on first request;
+    # outside a scope a new table on every call
+    fluid = ModeSymbol.fluid_scalars(params)
+    key = (*fluid, times.tobytes(), nodes_per_panel)
+    tables = _shared_tables.get()
+    table = tables.get(key) if tables is not None else None
+    if table is None:
+        xi, w = _radial_nodes(nodes_per_panel)
+        table = _ModeTable(ModeSymbol(xi, *fluid), w, times.copy())
+        if tables is not None:
+            tables[key] = table
     sym, xi = table.sym, table.sym.xi
     weight = table.w * profile(xi) ** 2 * xi ** (2.0 * query.ell) * 4.0 * np.pi * xi * xi
     amp2 = 0.0
@@ -394,9 +412,23 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
     if params is None:
         params = FluidParams()
     if query.q == np.inf:
-        return _linf_curve(query, times, params, nodes_per_panel)
+        # L^inf surrogate: ||f||_inf <~ ||grad f||^{1/2} ||grad^2 f||^{1/2}
+        with shared_exponentials():
+            c1, c2 = (decay_curve(replace(query, ell=ell, q=2.0), times, params,
+                                  nodes_per_panel) for ell in (1.0, 2.0))
+        return [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)]
     profile = initial_profile(query.p)
-    _check_integrable(query)
+    # near xi = 0 the squared rows of E and the heat factor stay O(1), so
+    # the squared integrand behaves like xi^(2 ell + 2 - 2s), times xi^2 for
+    # the density, with s = 3 (1 - 1/p) the profile's singularity; the
+    # integral diverges when that power is <= -1
+    s = 3.0 * (1.0 - 1.0 / query.p)
+    margin = 2.5 if query.component == "density" else 1.5
+    if s >= query.ell + margin:
+        raise QuadratureError(
+            f"{query.component} integral diverges at xi -> 0: "
+            f"3(1 - 1/p) = {s!r} >= ell + {margin} "
+            f"(p = {query.p}, ell = {query.ell})")
     # the finer norms first: no coarse table is held while the finer
     # exponential, the largest array here, is built
     refs = _l2_norms(query, params, times, profile, 2 * nodes_per_panel)
@@ -408,31 +440,6 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
             f"quadrature not converged at t={times[i]}: "
             f"{float(vals[i])!r} vs {float(refs[i])!r}")
     return [(float(t), float(v)) for t, v in zip(times, vals)]
-
-
-def _check_integrable(query):
-    """Near xi = 0 the squared rows of E and the heat factor stay O(1), so
-    the squared integrand behaves like xi^(2 ell + 2 - 2s), times xi^2 for
-    the density, with s = 3 (1 - 1/p) the profile's singularity; the
-    integral diverges when that power is <= -1."""
-    s = 3.0 * (1.0 - 1.0 / query.p)
-    margin = 2.5 if query.component == "density" else 1.5
-    if s >= query.ell + margin:
-        raise QuadratureError(
-            f"{query.component} integral diverges at xi -> 0: "
-            f"3(1 - 1/p) = {s!r} >= ell + {margin} "
-            f"(p = {query.p}, ell = {query.ell})")
-
-
-def _linf_curve(query, times, params, nodes_per_panel):
-    """L^inf surrogate via interpolation between first- and second-derivative
-    L^2 norms: ||f||_inf <~ ||grad f||^{1/2} ||grad^2 f||^{1/2}."""
-    with shared_exponentials():
-        c1 = decay_curve(replace(query, ell=1.0, q=2.0), times, params,
-                         nodes_per_panel)
-        c2 = decay_curve(replace(query, ell=2.0, q=2.0), times, params,
-                         nodes_per_panel)
-    return [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)]
 
 
 @dataclass(frozen=True)

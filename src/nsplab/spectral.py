@@ -22,6 +22,7 @@ from functools import cached_property, lru_cache, reduce
 from math import isclose
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Grid",
@@ -368,11 +369,31 @@ def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float):
     return ratio <= 1.0 + 1e-12, float(ratio)
 
 
-def dealias(f: Field, out: np.ndarray | None = None):
-    """Truncate a field to the 2/3-rule ball.  With ``out`` (real layout) the
-    masked coefficients are written there and returned, not inverted;
-    without, they are a temporary and are inverted in place."""
-    c = np.multiply(transform(f.grid, f.values), real_layout(f.grid).mask,
-                    out=out)
-    return c if out is not None else Field(
-        f.grid, inverse_transform(f.grid, c, overwrite=True))
+def dealias(f: Field, out: np.ndarray | None = None, coefficients=False):
+    """Truncate a field to the 2/3-rule ball |m_a| <= n/3, transforming
+    only the ball: an `rfft` keeps the last axis's n/3 + 1 columns, then a
+    c2c pass per other axis, first to last, over the ball rows of the axes
+    before it.  That is scipy's pass order and the grids' power-of-two
+    scalings are exact, so this is ``transform(...) * mask`` bit for bit.
+    The coefficients go into ``out`` (real layout), or with ``coefficients``
+    stay in the `rfft`'s output; otherwise they are inverted in place."""
+    import scipy.fft
+    n, k = f.grid.n, f.grid.n // 3
+    c = scipy.fft.rfft(f.values, axis=-1, norm="forward")
+    if out is not None:
+        out[..., :k + 1] = c[..., :k + 1]
+        c = out
+    c[..., k + 1:] = 0.0
+    ball = c[..., :k + 1]
+    for axis in range(-f.grid.dim, -1):
+        rows = ball   # each axis done: its rows 0..k and n-k-1 (zero)..n-1
+        for done in range(-f.grid.dim, axis):
+            sh, st, a = rows.shape, rows.strides, rows.ndim + done
+            rows = as_strided(rows, sh[:a] + (2, k + 1) + sh[a + 1:], st[:a]
+                              + ((n - k - 1) * st[a], st[a]) + st[a + 1:])
+        # a complex view with overwrite_x is transformed in its own memory
+        scipy.fft.fft(rows, axis=axis, norm="forward", overwrite_x=True)
+        np.moveaxis(ball, axis, 0)[k + 1:n - k] = 0.0
+    if out is not None or coefficients:
+        return c
+    return Field(f.grid, inverse_transform(f.grid, c, overwrite=True))

@@ -145,7 +145,6 @@ class _Elliptic:
         self.hp_bar = params.h_prime_bar
         k2 = lay.kmag ** 2
         self.sym = 1.0 / (self.hp_bar * k2 + 1.0)
-        self.shift = self.hp_bar * lay.mask * k2
         self.lap = -(lay.mask * k2)
         self.mask = lay.mask
         self.b_dev = transform(self.grid, doping.b.values - doping.b_bar)
@@ -199,7 +198,10 @@ def solve_steady(params: FluidParams, doping: DopingProfile,
     omega = 1.0
     history = []
     for it in range(1, max_iter + 1):
-        target = np.add(D, np.multiply(op.shift, f_hat, out=work), out=work)
+        # shift = -h'(rho_bar) lap (its bits), in spare's reals: free here
+        shift = spare.reshape(-1).view(float)[:spare.size].reshape(op.lap.shape)
+        np.multiply(-op.hp_bar, op.lap, out=shift)
+        target = np.add(D, np.multiply(shift, f_hat, out=work), out=work)
         target += op.b_dev
         np.multiply(op.sym, target, out=target)
         f_new = np.multiply(1.0 - omega, f_hat, out=spare)

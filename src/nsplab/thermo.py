@@ -137,6 +137,7 @@ def _remainder_quadrature(law, rho_s, total):
 # fall under 2^-53 of the x^2 term there.
 _SERIES_X = 0.05
 _SERIES_TERMS = 15
+_SERIES_BLOCK = 2 ** 15     # points per block of Horner passes, in cache
 
 
 def _remainder_gamma(gamma, rho_s, total):
@@ -163,12 +164,16 @@ def _remainder_gamma(gamma, rho_s, total):
     coeffs = [0.5 * (p - 1.0)]
     for j in range(2, _SERIES_TERMS + 1):
         coeffs.append(coeffs[-1] * (p - j) / (j + 1))
-    acc = np.full_like(xs, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc *= xs
-        acc += c
-    acc *= xs
-    acc *= xs
+    acc = np.empty(np.shape(xs))
+    x_flat, acc_flat = xs.reshape(-1), acc.reshape(-1)
+    for i in range(0, acc.size, _SERIES_BLOCK):     # same bits as one block
+        xk, ak = x_flat[i:i + _SERIES_BLOCK], acc_flat[i:i + _SERIES_BLOCK]
+        ak.fill(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            ak *= xk
+            ak += c
+        ak *= xk
+        ak *= xk
     if everywhere:
         return np.multiply(acc, g * rho_s ** p, out=acc)
     out = np.empty_like(x)

@@ -342,6 +342,27 @@ class TestDealias:
                                  * real_layout(grid).mask)
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_coefficients_equal_masked_transform(self, dim, n):
+        # only the 2/3 ball is transformed, yet the coefficients are the
+        # full transform times the mask bit for bit, on scalar and stacked
+        # samples with Nyquist content, and 0 outside the ball where out
+        # held garbage
+        grid = Grid(dim=dim, n=n)
+        rng = np.random.default_rng(10 * n + dim)
+        for lead in ((), (3,)):
+            values = rng.normal(size=lead + grid.shape)
+            full = transform(grid, values)
+            assert np.min(np.abs(full[..., -1])) > 0.0     # Nyquist content
+            want = full * real_layout(grid).mask
+            out = np.full_like(want, np.nan + 1j * np.inf)
+            got = dealias(Field(grid, values), out=out)
+            assert got is out
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(
+                dealias(Field(grid, values), coefficients=True), want)
+
     def test_low_modes_untouched(self):
         g = Grid(dim=1, n=16)
         x = g.axes()
