@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``steady``, ``linear-decay``, ``evolve``, ``fit``, ``run``,
-``verify``.  ``steady`` and ``evolve`` translate their flags into an
-`ExperimentConfig` and run the same pipeline as ``run``.  All numeric output
+``verify``.  Each flag of ``steady``, ``evolve`` and ``linear-decay`` has
+the config key it sets as its dest (see `build_parser`).  All numeric output
 uses 17-significant-digit rendering so the values round-trip exactly.
 """
 
@@ -17,54 +17,35 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .pipeline import run_decay_query, run_pipeline, write_csv
-from .semigroup import LinearDecayQuery, fit_exponent
+from .semigroup import fit_exponent
 
 __all__ = ["main"]
 
 
 def _add_steady_args(p):
     """Grid, fluid and doping flags, shared by steady and evolve."""
-    p.add_argument("--dim", type=int)
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--length", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--mu-prime", type=float)
-    p.add_argument("--doping", default="gaussian-bump",
+    p.add_argument("--dim", type=int, dest="grid.dim")
+    p.add_argument("--n", type=int, default=32, dest="grid.n")
+    p.add_argument("--length", type=float, dest="grid.length")
+    p.add_argument("--gamma", type=float, dest="fluid.gamma")
+    p.add_argument("--mu", type=float, dest="fluid.mu")
+    p.add_argument("--mu-prime", type=float, dest="fluid.mu_prime")
+    p.add_argument("--doping", default="gaussian-bump", dest="doping.preset",
                    choices=["flat", "gaussian-bump", "cosine"])
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--center", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--mode", type=int)
-
-
-# argparse dest -> the (section, key) of the ExperimentConfig it sets.  A
-# flag left unset is not written, so the config's defaults apply to it.
-_CONFIG_KEYS = {
-    "dim": ("grid", "dim"), "n": ("grid", "n"), "length": ("grid", "length"),
-    "gamma": ("fluid", "gamma"), "mu": ("fluid", "mu"),
-    "mu_prime": ("fluid", "mu_prime"),
-    "doping": ("doping", "preset"), "amplitude": ("doping", "amplitude"),
-    "center": ("doping", "center"), "sigma": ("doping", "sigma"),
-    "mode": ("doping", "mode"),
-    "tol": ("solver", "tol"), "max_iter": ("solver", "max_iter"),
-    "r": ("solver", "r"),
-    "initial": ("initial", "preset"),
-    "initial_amplitude": ("initial", "amplitude"),
-    "initial_mode": ("initial", "mode"), "seed": ("initial", "seed"),
-    "band": ("initial", "band"),
-    "dt": ("evolve", "dt"), "t_end": ("evolve", "t_end"),
-    "report_every": ("evolve", "report_every"), "k": ("evolve", "k"),
-    "snapshots": ("evolve", "snapshots"),
-    "output": ("output", "directory"),
-}
+    p.add_argument("--amplitude", type=float, dest="doping.amplitude")
+    p.add_argument("--center", type=float, dest="doping.center")
+    p.add_argument("--sigma", type=float, dest="doping.sigma")
+    p.add_argument("--mode", type=int, dest="doping.mode")
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    """The set flags, each under the "section.key" of its dest, in flag
+    order; an unset flag is None and keeps the config's default."""
     config = ExperimentConfig()
-    for dest, (section, key) in _CONFIG_KEYS.items():
-        if hasattr(args, dest):
-            config.sections.setdefault(section, {})[key] = str(getattr(args, dest))
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.rsplit(".", 1)
+            config.sections.setdefault(section, {})[key] = str(value)
     return config
 
 
@@ -91,12 +72,9 @@ def cmd_stage(args):
 
 
 def cmd_linear_decay(args):
-    query = LinearDecayQuery(ell=args.ell, p=args.p, q=args.q,
-                             component=args.component, parts=args.parts)
-    times = np.geomspace(args.t_min, args.t_max, args.samples)
+    """Run the flags' [decay.cli] section; print its report, write its curve."""
     curve, _, report = run_decay_query(
-        query, times, window=(args.t_min, args.t_max),
-        tolerance=args.tolerance, label="cli", mode=args.mode, r=args.r)
+        **_config_from_args(args).decay_kwargs("cli"))
     if args.output:
         write_csv(args.output, ["t", "norm"], curve)
     _emit({name: value for name, value in asdict(report).items()
@@ -144,48 +122,49 @@ def build_parser():
                     "steady solves, linear decay rates, nonlinear evolution.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # unset flags of steady and evolve stay out of the namespace
-    p = sub.add_parser("steady", help="solve for a steady state",
-                       argument_default=argparse.SUPPRESS)
+    # each flag of steady, evolve and linear-decay sets the config key that
+    # is its dest; --output comes last, as the [output] section does
+    p = sub.add_parser("steady", help="solve for a steady state")
     _add_steady_args(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--r", type=float)
-    p.add_argument("--output")
+    p.add_argument("--tol", type=float, dest="solver.tol")
+    p.add_argument("--max-iter", type=int, dest="solver.max_iter")
+    p.add_argument("--r", type=float, dest="solver.r")
+    p.add_argument("--output", dest="output.directory")
     p.set_defaults(fn=cmd_stage)
 
     p = sub.add_parser("linear-decay", help="decay curve of the linear flow")
-    p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--q", type=float, default=2.0)
-    p.add_argument("--ell", type=float, default=0.0)
-    p.add_argument("--component", default="velocity",
+    key = "decay.cli."
+    p.add_argument("--p", type=float, dest=key + "p")
+    p.add_argument("--q", type=float, dest=key + "q")
+    p.add_argument("--ell", type=float, dest=key + "ell")
+    p.add_argument("--component", dest=key + "component",
                    choices=["density", "velocity"])
-    p.add_argument("--parts", default="both",
+    p.add_argument("--parts", dest=key + "parts",
                    choices=["both", "compressible", "incompressible"])
-    p.add_argument("--t-min", type=float, default=1e2)
-    p.add_argument("--t-max", type=float, default=1e4)
-    p.add_argument("--samples", type=int, default=60)
-    p.add_argument("--tolerance", type=float, default=0.05)
-    p.add_argument("--mode", default="lemma", choices=["lemma", "theorem"])
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--output", default=None, help="CSV output path")
+    p.add_argument("--t-min", type=float, dest=key + "t_min")
+    p.add_argument("--t-max", type=float, dest=key + "t_max")
+    p.add_argument("--samples", type=int, default=60, dest=key + "samples")
+    p.add_argument("--tolerance", type=float, dest=key + "tolerance")
+    p.add_argument("--mode", dest=key + "mode", choices=["lemma", "theorem"])
+    p.add_argument("--r", type=float, dest=key + "r")
+    p.add_argument("--output", help="CSV output path")
     p.set_defaults(fn=cmd_linear_decay)
 
-    p = sub.add_parser("evolve", help="nonlinear evolution of a perturbation",
-                       argument_default=argparse.SUPPRESS)
+    p = sub.add_parser("evolve", help="nonlinear evolution of a perturbation")
     _add_steady_args(p)
-    p.add_argument("--initial", default="random-smooth",
+    p.add_argument("--initial", default="random-smooth", dest="initial.preset",
                    choices=["mode", "random-smooth"])
-    p.add_argument("--initial-amplitude", type=float)
-    p.add_argument("--initial-mode", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--band", type=int)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--t-end", type=float, default=10.0)
-    p.add_argument("--report-every", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--snapshots", action="store_true")
-    p.add_argument("--output")
+    p.add_argument("--initial-amplitude", type=float, dest="initial.amplitude")
+    p.add_argument("--initial-mode", type=int, dest="initial.mode")
+    p.add_argument("--seed", type=int, dest="initial.seed")
+    p.add_argument("--band", type=int, dest="initial.band")
+    p.add_argument("--dt", type=float, dest="evolve.dt")
+    p.add_argument("--t-end", type=float, default=10.0, dest="evolve.t_end")
+    p.add_argument("--report-every", type=int, dest="evolve.report_every")
+    p.add_argument("--k", type=int, dest="evolve.k")
+    p.add_argument("--snapshots", action="store_true", default=None,
+                   dest="evolve.snapshots")
+    p.add_argument("--output", dest="output.directory")
     p.set_defaults(fn=cmd_stage)
 
     p = sub.add_parser("fit", help="fit a power-law exponent to a CSV curve")

@@ -124,16 +124,14 @@ class ExperimentConfig:
                               f"choose from {sorted(DOPING_PRESETS)}")
         takes = inspect.signature(DOPING_PRESETS[preset]).parameters
         params = {}
-        for key, cast in (("amplitude", float), ("center", float),
-                          ("sigma", float), ("base", float), ("value", float),
-                          ("mode", int)):
-            v = self.get("doping", key, cast)
-            if v is None:
+        for key in self.sections.get("doping", {}):
+            if key == "preset":
                 continue
-            if key not in takes:
+            if key not in takes or key == "grid":
                 raise ConfigError(
                     f"doping preset {preset!r} takes no key {key!r}")
-            params[key] = v
+            params[key] = self.get("doping", key,
+                                   int if key == "mode" else float)
         return DOPING_PRESETS[preset](grid, **params)
 
     def build_initial(self, grid: Grid) -> PerturbationState:
@@ -150,16 +148,29 @@ class ExperimentConfig:
                 amplitude=amp, band=self.get("initial", "band", int, 3))
         raise ConfigError(f"unknown initial preset {preset!r}")
 
-    def decay_queries(self):
-        out = []
-        for name in self.sections:
-            if not name.startswith("decay."):
-                continue
-            label = name.split(".", 1)[1]
-            out.append((label, LinearDecayQuery(
+    def decay_kwargs(self, label) -> dict:
+        """`run_decay_query`'s keywords for the section [decay.<label>]: its
+        query, `samples` log-spaced times on [t_min, t_max] and that window,
+        tolerance, mode, r and label."""
+        name = f"decay.{label}"
+        t_min = self.get(name, "t_min", float, 1e2)
+        t_max = self.get(name, "t_max", float, 1e4)
+        return dict(
+            query=LinearDecayQuery(
                 ell=self.get(name, "ell", float, 0.0),
                 p=self.get(name, "p", float, 1.0),
                 q=self.get(name, "q", float, 2.0),
                 component=self.get(name, "component", str, "velocity"),
-                parts=self.get(name, "parts", str, "both"))))
-        return out
+                parts=self.get(name, "parts", str, "both")),
+            times=np.geomspace(t_min, t_max,
+                               self.get(name, "samples", int, 40)),
+            window=(t_min, t_max),
+            tolerance=self.get(name, "tolerance", float, 0.05),
+            mode=self.get(name, "mode", str, "lemma"),
+            r=self.get(name, "r", float), label=label)
+
+    def decay_queries(self):
+        """(label, query) of each [decay.<label>] section, in config order."""
+        labels = [name.split(".", 1)[1] for name in self.sections
+                  if name.startswith("decay.")]
+        return [(label, self.decay_kwargs(label)["query"]) for label in labels]

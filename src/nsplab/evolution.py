@@ -87,7 +87,9 @@ def zero_state(grid: Grid) -> PerturbationState:
 
 def single_mode_state(grid: Grid, mode: int = 1,
                       amplitude: float = 1e-3) -> PerturbationState:
-    """cos mode in the density (mean-zero) at rest."""
+    """cos mode in the density (mean-zero) at rest; 1 <= mode <= n/2."""
+    if not 1 <= mode <= grid.n // 2:
+        raise ValueError(f"mode must lie in [1, {grid.n // 2}], got {mode}")
     x = grid.axes().reshape((-1,) + (1,) * (grid.dim - 1))     # along axis 0
     rho = np.broadcast_to(amplitude * np.cos(2.0 * np.pi * mode * x / grid.length),
                           grid.shape).copy()
@@ -102,6 +104,8 @@ def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
     Each scalar draws its coefficients c_m on the full grid of modes and
     keeps their Hermitian part (c_m + conj c_{-m}) / 2, the real field's,
     on the half grid."""
+    if band < 1:
+        raise ValueError(f"band must be at least 1, got {band}")
     rng = np.random.default_rng(seed)
     m = np.ix_(*[np.abs(grid.mode_axis())] * grid.dim)      # per-axis |m_a|
     inband = np.all(np.broadcast_arrays(*[ma <= band for ma in m]), axis=0)
@@ -406,6 +410,8 @@ def evolve(initial: PerturbationState, ss: SteadyState, params: FluidParams,
     returned inside the raised EvolutionError (attribute ``reports``)."""
     if not 0.0 <= t_end < np.inf:
         raise ValueError(f"t_end must be finite and nonnegative, got {t_end}")
+    if report_every < 1:
+        raise ValueError(f"report_every must be at least 1, got {report_every}")
     cfg = diagnostics or DiagnosticsConfig()
     if dt is None:
         dt = default_dt(params, initial.grid)

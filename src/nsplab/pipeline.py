@@ -276,18 +276,9 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
         decay_reports = []
         # queries on one fluid, times and node count share their exponentials
         with shared_exponentials():
-            for label, query in config.decay_queries():
-                sect = f"decay.{label}"
-                t_min = config.get(sect, "t_min", float, 1e2)
-                t_max = config.get(sect, "t_max", float, 1e4)
-                samples = config.get(sect, "samples", int, 40)
-                tol = config.get(sect, "tolerance", float, 0.05)
-                r = config.get(sect, "r", float)
-                mode = config.get(sect, "mode", str, "lemma")
-                times = np.geomspace(t_min, t_max, samples)
-                curve, fit, rep = run_decay_query(
-                    query, times, params, window=(t_min, t_max),
-                    tolerance=tol, label=label, mode=mode, r=r)
+            for label, _ in config.decay_queries():
+                curve, _, rep = run_decay_query(
+                    params=params, **config.decay_kwargs(label))
                 fname = f"decay_{label}.csv"
                 write_csv(outdir / fname, ["t", "norm"], curve)
                 rep.curve_file = fname

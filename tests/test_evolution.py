@@ -203,8 +203,9 @@ class TestStates:
         assert s.u.is_vector and s.u.ncomp == 2
 
     def test_single_mode_mean_zero(self):
-        s = single_mode_state(GRID, mode=2, amplitude=0.01)
-        assert abs(s.rho.mean()) < 1e-15
+        for mode in (2, GRID.n // 2):
+            s = single_mode_state(GRID, mode=mode, amplitude=0.01)
+            assert abs(s.rho.mean()) < 1e-15
 
     def test_random_smooth_normalization_and_band(self):
         s = random_smooth_state(GRID, seed=3, amplitude=0.02, band=3)
@@ -213,6 +214,17 @@ class TestStates:
         m = np.max(np.abs(fullgrid.mode_numbers(GRID)), axis=0)
         m = m[..., :GRID.n // 2 + 1]
         assert np.max(np.abs(s.rho.coefficients()[m > 3])) < 1e-16
+
+    @pytest.mark.parametrize("preset,kwargs,match", [
+        (single_mode_state, {"mode": 0}, r"mode must lie in \[1, 8\], got 0"),
+        (single_mode_state, {"mode": 9}, r"mode must lie in \[1, 8\], got 9"),
+        (random_smooth_state, {"band": 0}, "band must be at least 1, got 0")],
+        ids=["mode-0", "mode-9", "band-0"])
+    def test_presets_reject_out_of_range(self, preset, kwargs, match):
+        # mode 0 is a constant density, mode 9 aliases to 7 on n = 16, and
+        # band 0 is the zero state
+        with pytest.raises(ValueError, match=match):
+            preset(GRID, **kwargs)
 
     def test_random_smooth_deterministic(self):
         a = random_smooth_state(GRID, seed=5)
@@ -498,6 +510,19 @@ class TestEvolveDriver:
         s0 = random_smooth_state(GRID, seed=6, amplitude=1e-3)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             evolve(s0, flat_ss, PARAMS, t_end=t_end, dt=dt)
+
+    @pytest.mark.parametrize("report_every", [0, -2])
+    def test_rejects_report_every_below_one_before_any_step(
+            self, flat_ss, report_every):
+        s0 = random_smooth_state(GRID, seed=6, amplitude=1e-3)
+        reported = []
+        with pytest.raises(ValueError,
+                           match=f"report_every must be at least 1, got "
+                                 f"{report_every}"):
+            evolve(s0, flat_ss, PARAMS, t_end=0.5, dt=0.1,
+                   report_every=report_every,
+                   snapshot_cb=lambda state, rep: reported.append(rep))
+        assert reported == []
 
     def test_initial_data_size_positive(self):
         s = random_smooth_state(GRID, seed=8, amplitude=1e-2)

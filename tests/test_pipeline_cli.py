@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsplab.arrayio import read_field
-from nsplab.cli import main
+from nsplab.cli import _config_from_args, build_parser, main
 from nsplab.config import ConfigError, ExperimentConfig
 from nsplab.pipeline import (HypothesisError, render_float, run_pipeline,
                              target_exponent, write_csv)
@@ -106,6 +106,15 @@ class TestConfig:
         cfg = ExperimentConfig.parse("[grid]\ndim = 2\n")
         with pytest.raises(ConfigError, match="grid.n"):
             cfg.build_grid()
+
+    def test_decay_kwargs(self):
+        cfg = ExperimentConfig.parse(SAMPLE + "mode = theorem\nr = 1.3\n")
+        kwargs = cfg.decay_kwargs("vel")
+        assert kwargs.pop("query") == dict(cfg.decay_queries())["vel"]
+        times = kwargs.pop("times")
+        np.testing.assert_array_equal(times, np.geomspace(100.0, 1000.0, 15))
+        assert kwargs == {"window": (100.0, 1000.0), "tolerance": 0.05,
+                          "mode": "theorem", "r": 1.3, "label": "vel"}
 
     def test_q_inf(self):
         cfg = ExperimentConfig.parse("[decay.sup]\nq = inf\n")
@@ -286,6 +295,19 @@ class TestCli:
         main(["linear-decay", "--q", "inf", "--t-max", "1000",
               "--samples", "15"])
         assert json.loads(capsys.readouterr().out)["q"] == np.inf
+        # each flag sets its [decay.cli] key; only --samples has a default
+        flags = ["linear-decay", "--q", "inf", "--mode", "theorem",
+                 "--p", "1.2", "--r", "1.3"]
+        config = _config_from_args(build_parser().parse_args(flags))
+        assert config.sections == {"decay.cli": {
+            "p": "1.2", "q": "inf", "samples": "60", "mode": "theorem",
+            "r": "1.3"}}
+        rc = main(flags)
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["q"] == np.inf and payload["p"] == 1.2
+        assert payload["target"] == target_exponent(0.0, 1.2, r=1.3,
+                                                    q=np.inf)
+        assert rc == (0 if payload["passed"] else 1)
 
     def test_verify_fast(self, capsys):
         assert main(["verify", "--fast"]) == 0
@@ -367,9 +389,10 @@ class TestCli:
                                 "output_dir"}
 
     def test_evolve_manifest_and_snapshots(self, tmp_path, capsys):
-        rc = main(["evolve", "--dim", "2", "--n", "16", "--doping", "cosine",
-                   "--amplitude", "0.05", "--dt", "0.1", "--t-end", "0.5",
-                   "--snapshots", "--output", str(tmp_path)])
+        flags = ["--dim", "2", "--n", "16", "--doping", "cosine",
+                 "--amplitude", "0.05", "--dt", "0.1", "--t-end", "0.5",
+                 "--snapshots", "--output", str(tmp_path)]
+        rc = main(["evolve", *flags])
         assert rc == 0
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "complete"
@@ -382,6 +405,21 @@ class TestCli:
             assert actual == digest, name
         assert (manifest["files"]["final_u.nspf"]
                 == manifest["files"]["state_0001_u.nspf"])
+        # the config keys follow the flag definitions, not the command line
+        echo = (tmp_path / "config_echo.cfg").read_text()
+        assert echo == (
+            "[grid]\ndim = 2\nn = 16\n\n[doping]\npreset = cosine\n"
+            "amplitude = 0.05\n\n[initial]\npreset = random-smooth\n\n"
+            "[evolve]\ndt = 0.1\nt_end = 0.5\nsnapshots = True\n\n"
+            f"[output]\ndirectory = {tmp_path}\n")
+        reordered = ["--output", str(tmp_path), "--snapshots",
+                     "--t-end", "0.5", "--dt", "0.1", "--amplitude", "0.05",
+                     "--doping", "cosine", "--n", "16", "--dim", "2"]
+        assert sorted(reordered) == sorted(flags)
+        assert main(["evolve", *reordered]) == 0
+        assert (tmp_path / "config_echo.cfg").read_text() == echo
+        again = json.loads((tmp_path / "manifest.json").read_text())
+        assert again["files"] == manifest["files"]
 
     def test_run_names_a_bad_max_iter(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
@@ -455,18 +493,27 @@ class TestCli:
         assert set(payload) == {"steady", "evolve", "decay", "output_dir"}
 
     def test_doping_key_the_preset_does_not_take(self, tmp_path):
-        cfg_path = tmp_path / "flat.cfg"
-        cfg_path.write_text(BUMP.replace("gaussian-bump", "flat"))
+        # a key of another preset, a misspelt key and the preset's grid
+        cases = [("flat", BUMP.replace("gaussian-bump", "flat"), "amplitude"),
+                 ("gaussian-bump", BUMP.replace("amplitude", "amplitud"),
+                  "amplitud"),
+                 ("gaussian-bump", BUMP + "grid = 1\n", "grid")]
+        for i, (preset, text, key) in enumerate(cases):
+            cfg_path = tmp_path / f"{i}.cfg"
+            cfg_path.write_text(text)
+            want = f"doping preset {preset!r} takes no key {key!r}"
+            with pytest.raises(ConfigError, match=want):
+                main(["run", "--config", str(cfg_path),
+                      "--output", str(tmp_path / f"run{i}")])
+            manifest = json.loads(
+                (tmp_path / f"run{i}" / "manifest.json").read_text())
+            assert manifest["failure"] == f"ConfigError: {want}"
         want = "doping preset 'flat' takes no key 'amplitude'"
-        with pytest.raises(ConfigError, match=want):
-            main(["run", "--config", str(cfg_path),
-                  "--output", str(tmp_path / "run")])
         with pytest.raises(ConfigError, match=want):
             main(["steady", "--dim", "2", "--n", "16", "--doping", "flat",
                   "--amplitude", "0.1", "--output", str(tmp_path / "steady")])
-        for sub in ("run", "steady"):
-            manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
-            assert manifest["failure"] == f"ConfigError: {want}"
+        manifest = json.loads((tmp_path / "steady" / "manifest.json").read_text())
+        assert manifest["failure"] == f"ConfigError: {want}"
 
     def test_exit_code_rule(self, tmp_path, capsys):
         # 0 iff every stage that ran passed its check.  A bump in a wide

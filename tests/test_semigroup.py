@@ -287,6 +287,47 @@ class TestDecayCurves:
             decay_curve(q, [2.0, 1.0])
 
 
+class TestLatticeOracle:
+    """At p = 1 the squared integrand of `decay_curve` is smooth in k, so
+    its sum over the lattice (2 pi / L) Z^3 converges exponentially in L
+    (Poisson summation).  With L = 32 sqrt(t), which resolves the
+    e^{-2 t |k|^2} decay, the sum is an oracle for the radial quadrature
+    that shares only the mode block and its exponential with it."""
+
+    @staticmethod
+    def lattice_norm(query, t, span=32):
+        # the integrand depends on |m|^2 only: one term per distinct value
+        m2 = np.arange(-span, span + 1) ** 2
+        n2, count = np.unique((m2[:, None, None] + m2[:, None] + m2).ravel(),
+                              return_counts=True)
+        h = 2.0 * np.pi / (span * np.sqrt(t))
+        sym = ModeSymbol.from_params(PARAMS, h * np.sqrt(n2[1:]))
+        # k = 0, which ModeSymbol rejects: the xi = 0 normalized block
+        block0 = np.array([[0.0, -PARAMS.rho_bar], [1.0, 0.0]])
+        E = np.concatenate((expm2(block0, t)[None],
+                            expm2(sym.normalized_block, t)))
+        xi = h * np.sqrt(n2)
+        if query.component == "density":     # rho_hat = xi * E row 0
+            amp2 = xi ** 2 * np.sum(E[:, 0] ** 2, axis=-1)
+        else:
+            amp2 = np.exp(-2.0 * PARAMS.mu / PARAMS.rho_bar * xi ** 2 * t)
+            if query.parts == "both":
+                amp2 += np.sum(E[:, 1] ** 2, axis=-1)
+        f = initial_profile(query.p)(xi) ** 2 * xi ** (2.0 * query.ell) * amp2
+        return np.sqrt(h ** 3 * np.dot(count, f))
+
+    @pytest.mark.parametrize("component,ell,parts", [
+        ("velocity", 0.0, "both"), ("velocity", 0.0, "incompressible"),
+        ("velocity", 1.0, "both"), ("velocity", 1.0, "incompressible"),
+        ("density", 0.0, "both")])
+    def test_quadrature_matches_lattice_sum(self, component, ell, parts):
+        query = LinearDecayQuery(ell=ell, component=component, parts=parts)
+        times = (1e2, 1e3, 1e4)
+        for t, norm in decay_curve(query, times):
+            assert self.lattice_norm(query, t) == pytest.approx(norm,
+                                                                rel=1e-9)
+
+
 class TestFitExponent:
     def test_recovers_exact_power_law(self):
         t = np.geomspace(1, 100, 30)
@@ -342,10 +383,7 @@ class TestSharedExponentials:
             assert len(expm2_calls) == 2, run
         expm2_calls.clear()
         for label, query in config.decay_queries():
-            sect = f"decay.{label}"
-            times = np.geomspace(config.get(sect, "t_min", float),
-                                 config.get(sect, "t_max", float),
-                                 config.get(sect, "samples", int))
+            times = config.decay_kwargs(label)["times"]
             alone = np.array(decay_curve(query, times))
             written = np.loadtxt(tmp_path / "second" / f"decay_{label}.csv",
                                  delimiter=",", skiprows=1)
