@@ -78,7 +78,8 @@ def cmd_linear_decay(args):
     if args.output:
         write_csv(args.output, ["t", "norm"], curve)
     _emit({name: value for name, value in asdict(report).items()
-           if name not in ("label", "curve_file")} | {"csv": args.output})
+           if name not in ("label", "refinement_error", "tail_share",
+                           "curve_file")} | {"csv": args.output})
     return 0 if report.passed else 1
 
 

@@ -27,6 +27,21 @@ class ConfigError(ValueError):
     pass
 
 
+# the keys each section takes: [doping] takes its preset's keywords (see
+# `build_doping`), every [decay.<label>] the keys of `decay_kwargs`, and
+# [solver] still accepts the retired newton and relaxation, which set nothing
+_SECTION_KEYS = {
+    "grid": {"dim", "n", "length"},
+    "fluid": {"gamma", "mu", "mu_prime"},
+    "solver": {"tol", "max_iter", "r", "newton", "relaxation"},
+    "initial": {"preset", "amplitude", "mode", "seed", "band"},
+    "evolve": {"dt", "t_end", "report_every", "k", "p", "r", "snapshots"},
+    "output": {"directory"},
+}
+_DECAY_KEYS = {"ell", "p", "q", "component", "parts", "t_min", "t_max",
+               "samples", "tolerance", "mode", "r"}
+
+
 @dataclass
 class ExperimentConfig:
     sections: dict = dc_field(default_factory=dict)
@@ -99,6 +114,21 @@ class ExperimentConfig:
 
     def has(self, section):
         return section in self.sections
+
+    def check_keys(self) -> None:
+        """Raise a ConfigError naming the first section, or section.key,
+        that nothing reads; the [doping] keys are checked against their
+        preset by `build_doping`."""
+        for name, body in self.sections.items():
+            if name == "doping":
+                continue
+            takes = (_DECAY_KEYS if name.startswith("decay.")
+                     else _SECTION_KEYS.get(name))
+            if takes is None:
+                raise ConfigError(f"unknown section [{name}]")
+            for key in body:
+                if key not in takes:
+                    raise ConfigError(f"unknown key {name}.{key}")
 
     # -- builders --------------------------------------------------------
 

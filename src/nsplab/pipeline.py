@@ -4,7 +4,6 @@ content-hash manifest."""
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import time
@@ -111,6 +110,8 @@ class DecayReport:
     target: float
     tolerance: float
     passed: bool
+    refinement_error: float    # see `DecayCurve`
+    tail_share: float
     curve_file: str | None = None
 
 
@@ -138,6 +139,7 @@ def write_energy_csv(path, reports):
 
 
 def _sha256(path: Path) -> str:
+    import hashlib      # on first use: it adds 3-5 ms to `import nsplab`
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -181,7 +183,8 @@ def run_decay_query(query: LinearDecayQuery, times, params=None,
         component=query.component, parts=query.parts,
         fitted_slope=fit.slope, fitted_stderr=fit.stderr,
         residual_rms=fit.residual_rms, target=target, tolerance=tolerance,
-        passed=abs(fit.slope - target) <= tolerance)
+        passed=abs(fit.slope - target) <= tolerance,
+        refinement_error=curve.refinement_error, tail_share=curve.tail_share)
     return curve, fit, report
 
 
@@ -203,6 +206,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
     produced.append("config_echo.cfg")
 
     try:
+        config.check_keys()
         ss = doping = None
         if config.has("grid"):
             grid = config.build_grid()
@@ -274,7 +278,7 @@ def run_pipeline(config: ExperimentConfig, output_dir=None) -> dict:
                 "k0": initial_data_size(initial, diag)}
 
         decay_reports = []
-        # queries on one fluid, times and node count share their exponentials
+        # queries on one fluid and times share their exponentials
         with shared_exponentials():
             for label, _ in config.decay_queries():
                 curve, _, rep = run_decay_query(

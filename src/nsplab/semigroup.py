@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .thermo import FluidParams
 
@@ -37,6 +36,7 @@ __all__ = [
     "hodge_evolve",
     "evolve_full_symbol",
     "initial_profile",
+    "DecayCurve",
     "decay_curve",
     "shared_exponentials",
     "fit_exponent",
@@ -312,28 +312,30 @@ class LinearDecayQuery:
             raise ValueError("parts must be both/compressible/incompressible")
 
 
-@lru_cache(maxsize=8)
-def _radial_nodes(nodes_per_panel):
-    """Composite Gauss-Legendre nodes and weights on the radial panels: 24
-    log-spaced ones on [1e-6, 1], then 8 equal ones on [1, 8]; cached and
-    read-only, since every table shares them."""
-    gl_x, gl_w = leggauss(nodes_per_panel)
-    edges = np.concatenate((np.geomspace(1e-6, 1.0, 25),
-                            np.linspace(1.0, 8.0, 9)[1:]))
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
-    xi, w = (mid + half * gl_x).ravel(), (gl_w * half).ravel()
-    xi.flags.writeable = w.flags.writeable = False
-    return xi, w
+# the radial rule: a trapezoid rule in s = log xi from xi = _XI_MIN at this
+# step, up to the first node at or beyond xi = 8
+_XI_MIN, _STEP = 1e-6, 1.0 / 20.0
+
+
+@lru_cache(maxsize=4)
+def _radial_nodes(xi_min, step):
+    """Nodes xi_j = xi_min e^{j step}, j = 0 .. N - 1, of the trapezoid rule
+    in s = log xi, the last the first at or beyond xi = 8 and N odd, so the
+    even nodes carry the same rule at twice the step; cached and read-only,
+    since every table shares them."""
+    n = int(np.ceil(np.log(8.0 / xi_min) / step / 2.0))
+    xi = xi_min * np.exp(step * np.arange(2 * n + 1))
+    xi.flags.writeable = False
+    return xi
 
 
 class _ModeTable:
-    """Radial nodes and weights of one symbol, and the squared row norms
-    |E_0.|^2 and |E_1.|^2 of its normalized mode semigroup E at every
-    (time, node) pair, from one batched exponential made on first use."""
+    """The radial nodes of one symbol and the squared row norms |E_0.|^2
+    and |E_1.|^2 of its normalized mode semigroup E at every (time, node)
+    pair, from one batched exponential made on first use."""
 
-    def __init__(self, sym: ModeSymbol, w, times):
-        self.sym, self.w, self.times = sym, w, times
+    def __init__(self, sym: ModeSymbol, times):
+        self.sym, self.times = sym, times
 
     @cached_property
     def row_norms2(self):
@@ -349,9 +351,10 @@ _shared_tables: ContextVar[dict | None] = ContextVar("_shared_tables",
 
 @contextmanager
 def shared_exponentials():
-    """Scope in which decay curves on the same fluid, times and nodes per
-    panel share one `_ModeTable`.  Nested scopes join the outermost one; its
-    tables are dropped when it exits."""
+    """Scope in which decay curves on the same fluid and times share one
+    `_ModeTable`, so one exponential serves every query and its refinement
+    check.  Nested scopes join the outermost one; its tables are dropped
+    when it exits."""
     if _shared_tables.get() is not None:
         yield
         return
@@ -362,9 +365,16 @@ def shared_exponentials():
         _shared_tables.reset(token)
 
 
-def _l2_norms(query, params, times, profile, nodes_per_panel):
-    """L^2 norms at every time, weighting the squared row norms of the
-    mode table's exponentials over its radial nodes.
+def _squared_norms(query, params, times, alpha):
+    """Squared L^2 norms at every time by the trapezoid rule in s = log xi,
+    as (fine, coarse, tail): the rule at the table's step, the rule at
+    twice it on the even nodes, and the fine rule's part from xi < xi_min.
+
+    Below xi_min the integrand in s is g(s_0) e^{alpha (s - s_0)}, so the
+    rule's nodes there sum to a geometric series, folded into the first
+    node's weight: h / (1 - e^{-alpha h}) at step h.  Each rule is then a
+    trapezoid sum over the whole line, whose terms past xi = 8 carry the
+    profile's factor e^{-2 xi^2} < e^{-128}.
 
     The two data channels (the |k|^{-1}-weighted density and the velocity)
     are combined incoherently, modeling the operator-norm character of the
@@ -374,16 +384,19 @@ def _l2_norms(query, params, times, profile, nodes_per_panel):
     # the scope's table for these arguments, built on first request;
     # outside a scope a new table on every call
     fluid = ModeSymbol.fluid_scalars(params)
-    key = (*fluid, times.tobytes(), nodes_per_panel)
+    key = (*fluid, times.tobytes(), _XI_MIN, _STEP)
     tables = _shared_tables.get()
     table = tables.get(key) if tables is not None else None
     if table is None:
-        xi, w = _radial_nodes(nodes_per_panel)
-        table = _ModeTable(ModeSymbol(xi, *fluid), w, times.copy())
+        table = _ModeTable(ModeSymbol(_radial_nodes(_XI_MIN, _STEP), *fluid),
+                           times.copy())
         if tables is not None:
             tables[key] = table
     sym, xi = table.sym, table.sym.xi
-    weight = table.w * profile(xi) ** 2 * xi ** (2.0 * query.ell) * 4.0 * np.pi * xi * xi
+    # h xi (dxi = xi ds) times 4 pi xi^2, the derivative weight and the
+    # squared profile
+    weight = initial_profile(query.p)(xi) ** 2
+    weight *= (4.0 * np.pi * _STEP) * xi ** (2.0 * query.ell + 3.0)
     amp2 = 0.0
     if query.component == "density" or query.parts != "incompressible":
         # normalized block: w = rho_hat / xi, so the density picks up xi^2
@@ -394,18 +407,38 @@ def _l2_norms(query, params, times, profile, nodes_per_panel):
         heat2 = np.multiply(sym.incompressible_rate, -2.0 * times[:, None])
         np.exp(heat2, out=heat2)                 # squared heat factor
         amp2 = np.add(heat2, amp2, out=heat2)    # amp2 may be a table row
-    return np.sqrt(amp2 @ weight)
+    coarse_weight = 2.0 * weight[::2]
+    coarse_weight[0] /= -np.expm1(-2.0 * alpha * _STEP)
+    own = -np.expm1(-alpha * _STEP)     # the first node's share of its fold
+    weight[0] /= own
+    fine = np.einsum("tn,n->t", amp2, weight)
+    coarse = np.einsum("tn,n->t", amp2[:, ::2], coarse_weight)
+    return fine, coarse, amp2[:, 0] * (weight[0] * (1.0 - own))
 
 
-def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = None,
-                nodes_per_panel: int = 10):
-    """||nabla^ell component(t)||_{L^2(R^3)} at the given times, by composite
-    Gauss-Legendre radial quadrature (log-spaced panels below xi = 1).
+class DecayCurve(list):
+    """The (t, norm) pairs of a decay curve, with the health of its
+    quadrature: ``refinement_error``, the largest relative difference of
+    the norms at twice the step, and ``tail_share``, the largest share of
+    a squared norm carried by the xi < xi_min tail."""
 
-    The norms are recomputed with twice the nodes per panel and a
-    QuadratureError names the first time where the two differ by more than
-    1e-6 relative.  A query whose integral diverges at xi -> 0 raises a
-    QuadratureError before any exponential is computed."""
+    def __init__(self, pairs, refinement_error, tail_share):
+        super().__init__(pairs)
+        self.refinement_error = refinement_error
+        self.tail_share = tail_share
+
+
+def decay_curve(query: LinearDecayQuery, times,
+                params: FluidParams | None = None) -> DecayCurve:
+    """||nabla^ell component(t)||_{L^2(R^3)} at the given times, by the
+    trapezoid rule in s = log xi at step 1/20 from xi = 1e-6 to 8, its
+    xi < 1e-6 tail summed in closed form (see `_squared_norms`).
+
+    The rule's even nodes give the same rule at twice the step, from the
+    same exponentials, and a QuadratureError names the first time where
+    the two differ by more than 1e-6 relative.  A query whose integral
+    diverges at xi -> 0 raises a QuadratureError before any exponential
+    is computed."""
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0) or np.any(np.diff(times) <= 0):
         raise ValueError("times must be positive and increasing")
@@ -414,32 +447,35 @@ def decay_curve(query: LinearDecayQuery, times, params: FluidParams | None = Non
     if query.q == np.inf:
         # L^inf surrogate: ||f||_inf <~ ||grad f||^{1/2} ||grad^2 f||^{1/2}
         with shared_exponentials():
-            c1, c2 = (decay_curve(replace(query, ell=ell, q=2.0), times, params,
-                                  nodes_per_panel) for ell in (1.0, 2.0))
-        return [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)]
-    profile = initial_profile(query.p)
+            c1, c2 = (decay_curve(replace(query, ell=ell, q=2.0), times, params)
+                      for ell in (1.0, 2.0))
+        return DecayCurve(
+            [(t, np.sqrt(n1 * n2)) for (t, n1), (_, n2) in zip(c1, c2)],
+            max(c1.refinement_error, c2.refinement_error),
+            max(c1.tail_share, c2.tail_share))
     # near xi = 0 the squared rows of E and the heat factor stay O(1), so
-    # the squared integrand behaves like xi^(2 ell + 2 - 2s), times xi^2 for
-    # the density, with s = 3 (1 - 1/p) the profile's singularity; the
-    # integral diverges when that power is <= -1
+    # the integrand in s behaves like xi^alpha with alpha = 2 (ell + margin
+    # - s), s = 3 (1 - 1/p) the profile's singularity and the margin 3/2,
+    # plus 1 for the density; the integral diverges when alpha <= 0
     s = 3.0 * (1.0 - 1.0 / query.p)
     margin = 2.5 if query.component == "density" else 1.5
-    if s >= query.ell + margin:
+    alpha = 2.0 * (query.ell + margin - s)
+    if alpha <= 0.0:
         raise QuadratureError(
             f"{query.component} integral diverges at xi -> 0: "
             f"3(1 - 1/p) = {s!r} >= ell + {margin} "
             f"(p = {query.p}, ell = {query.ell})")
-    # the finer norms first: no coarse table is held while the finer
-    # exponential, the largest array here, is built
-    refs = _l2_norms(query, params, times, profile, 2 * nodes_per_panel)
-    vals = _l2_norms(query, params, times, profile, nodes_per_panel)
-    bad = np.abs(vals - refs) > 1e-6 * np.maximum(refs, 1e-300)
+    fine, coarse, tail = _squared_norms(query, params, times, alpha)
+    vals, checks = np.sqrt(fine), np.sqrt(coarse)
+    error = np.abs(checks - vals) / np.maximum(vals, 1e-300)
+    bad = error > 1e-6
     if bad.any():
         i = int(np.argmax(bad))
         raise QuadratureError(
             f"quadrature not converged at t={times[i]}: "
-            f"{float(vals[i])!r} vs {float(refs[i])!r}")
-    return [(float(t), float(v)) for t, v in zip(times, vals)]
+            f"{float(checks[i])!r} vs {float(vals[i])!r}")
+    return DecayCurve([(float(t), float(v)) for t, v in zip(times, vals)],
+                      float(error.max()), float(np.max(tail / fine)))
 
 
 @dataclass(frozen=True)

@@ -320,10 +320,11 @@ def coeff_norm(grid: Grid, coeffs: np.ndarray, k: int = 0,
     """`sobolev_norm` read from real-layout coefficients (leading axes are
     components) with no transform; for base_order < 0 the zero mode is
     left out."""
-    v = np.ascontiguousarray(coeffs).view(np.float64)
     w = _sobolev_weight(grid, int(k), float(base_order))
+    v = np.ascontiguousarray(coeffs).view(np.float64).reshape(-1, w.size)
+    # einsum, not a BLAS dot: the same bits whatever the thread count
     return float(np.sqrt(grid.length ** grid.dim
-                         * np.sum(np.dot(v.reshape(-1, w.size) ** 2, w))))
+                         * np.einsum("ij,ij,j->", v, v, w)))
 
 
 def _field_norm(f: Field, k: int, base: float) -> float:

@@ -4,9 +4,9 @@ enthalpy around a background density."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .spectral import Field
 
@@ -119,7 +119,13 @@ def _check_positive(z, what="density"):
     return z
 
 
-_GL_NODES, _GL_WEIGHTS = leggauss(16)
+@lru_cache(maxsize=1)
+def _gauss_legendre16():
+    """16-node Gauss-Legendre rule on [-1, 1], built on first use: only
+    `TabulatedLaw` remainders need it, so `import nsplab` leaves
+    numpy.polynomial unloaded."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(16)
 
 
 def _remainder_quadrature(law, rho_s, total):
@@ -127,7 +133,7 @@ def _remainder_quadrature(law, rho_s, total):
     half = 0.5 * (total - rho_s)
     mid = 0.5 * (total + rho_s)
     acc = np.zeros_like(np.asarray(total, dtype=float))
-    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+    for x, w in zip(*_gauss_legendre16()):
         s = mid + half * x
         acc = acc + w * law.h_second(s) * (total - s)
     return half * acc

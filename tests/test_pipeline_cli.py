@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +204,14 @@ class TestPipeline:
         assert 0 <= steady["galerkin_residual"] <= steady["residual_l2"]
         assert steady["resolved"] is True
 
+    def test_decay_json_reports_quadrature_health(self, result):
+        outdir, summary = result
+        [report] = json.loads((outdir / "decay.json").read_text())
+        assert 0.0 <= report["refinement_error"] < 1e-6
+        assert 0.0 < report["tail_share"] < 1e-9
+        assert set(summary["stages"]["decay"]["vel"]) == {"fitted", "target",
+                                                         "passed"}
+
     def test_binary_fields_readable(self, result):
         outdir, _ = result
         rho = read_field(outdir / "rho_s.nspf")
@@ -238,6 +247,20 @@ class TestPipeline:
         assert ((tmp_path / "legacy" / "rho_s.nspf").read_bytes()
                 == (tmp_path / "plain" / "rho_s.nspf").read_bytes())
 
+    @pytest.mark.parametrize("text,name", [
+        (SAMPLE.replace("report_every = 5", "report_every = 5\nreport_evry = 1"),
+         "key evolve.report_evry"),
+        (SAMPLE + "sample = 20\n", "key decay.vel.sample"),
+        (SAMPLE + "\n[solver]\ntolerance = 1e-3\n", "key solver.tolerance"),
+        (SAMPLE + "\n[evolution]\nt_end = 1\n", "section [evolution]")],
+        ids=["evolve", "decay", "solver", "section"])
+    def test_unknown_key_fails_before_any_stage(self, tmp_path, text, name):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown {name}")):
+            run_pipeline(ExperimentConfig.parse(text), output_dir=tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["failure"] == f"ConfigError: unknown {name}"
+        assert set(manifest["files"]) == {"config_echo.cfg"}
+
     def test_divergent_query_fails_by_name(self, tmp_path):
         cfg = ExperimentConfig.parse(
             "[decay.vel]\np = 2\ncomponent = velocity\n")
@@ -272,6 +295,7 @@ class TestCli:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"]
+        assert "refinement_error" not in payload and "tail_share" not in payload
         assert abs(payload["fitted_slope"] + 1.25) < 0.05
         assert payload["target"] == -1.25
         assert csv.exists()

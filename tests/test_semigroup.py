@@ -9,7 +9,7 @@ from scipy.linalg import expm as scipy_expm
 from nsplab import semigroup
 from nsplab.acceptance import gates_decay_fits
 from nsplab.config import ExperimentConfig
-from nsplab.pipeline import run_pipeline
+from nsplab.pipeline import run_pipeline, target_exponent
 from nsplab.semigroup import (FitResult, LinearDecayQuery, ModeSymbol,
                               QuadratureError, decay_curve,
                               evolve_full_symbol, expm2, fit_exponent,
@@ -253,22 +253,19 @@ class TestDecayCurves:
         fit = fit_exponent(decay_curve(q, np.geomspace(1e2, 1e4, 25)))
         assert fit.slope == pytest.approx(-1.5, abs=0.05)
 
-    def test_refinement_failure_names_first_time(self):
-        # 4 nodes per panel is too coarse at most of these times, but not
-        # at the first
+    def test_refinement_failure_names_first_time(self, monkeypatch):
+        # at step 0.13 the rule at twice the step misses 1e-6 at some of
+        # these times, but not at the first
+        monkeypatch.setattr(semigroup, "_STEP", 0.13)
         q = LinearDecayQuery(component="velocity")
         times = np.geomspace(1e3, 1e4, 12)
-
-        def norms(n):
-            return semigroup._l2_norms(q, FluidParams(), times,
-                                       semigroup.initial_profile(q.p), n)
-
-        coarse, fine = norms(4), norms(8)
-        bad = np.abs(coarse - fine) > 1e-6 * fine
+        fine, coarse, _ = semigroup._squared_norms(q, FluidParams(), times,
+                                                   alpha=3.0)   # ell 0, p 1
+        bad = np.abs(np.sqrt(coarse) - np.sqrt(fine)) > 1e-6 * np.sqrt(fine)
         assert not bad[0] and bad.any()
         first = times[int(np.argmax(bad))]
         with pytest.raises(QuadratureError, match=f"t={first}:"):
-            decay_curve(q, times, nodes_per_panel=4)
+            decay_curve(q, times)
 
     def test_divergent_query_is_rejected(self, expm2_calls):
         # 3 (1 - 1/p) >= ell + 3/2: the velocity integral diverges at xi -> 0
@@ -278,6 +275,26 @@ class TestDecayCurves:
         assert expm2_calls == []
         curve = decay_curve(LinearDecayQuery(p=1.9), times)
         assert all(np.isfinite(v) and v > 0 for _, v in curve)
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.4, 1.5, 1.7, 1.9])
+    def test_velocity_slope_across_p(self, p):
+        # the xi < 1e-6 tail carries a quarter of the squared norm at p = 1.9
+        curve = decay_curve(LinearDecayQuery(p=p), np.geomspace(1e2, 1e4, 60))
+        fit = fit_exponent(curve)
+        assert fit.slope == pytest.approx(target_exponent(0.0, p, mode="lemma"),
+                                          abs=2e-3)
+        assert curve.refinement_error < 1e-9
+        assert 0.0 < curve.tail_share < 0.3
+
+    @pytest.mark.parametrize("p", [1.0, 1.2, 1.4, 1.5, 1.7, 1.9])
+    @pytest.mark.parametrize("component", ["velocity", "density"])
+    def test_cutoff_sensitivity(self, monkeypatch, component, p):
+        query = LinearDecayQuery(p=p, component=component)
+        times = np.geomspace(1e2, 1e4, 12)
+        near = np.array(decay_curve(query, times))[:, 1]
+        monkeypatch.setattr(semigroup, "_XI_MIN", 1e-9)
+        far = np.array(decay_curve(query, times))[:, 1]
+        assert np.max(np.abs(far - near) / near) <= 1e-8
 
     def test_rejects_bad_times(self):
         q = LinearDecayQuery()
@@ -325,7 +342,7 @@ class TestLatticeOracle:
         times = (1e2, 1e3, 1e4)
         for t, norm in decay_curve(query, times):
             assert self.lattice_norm(query, t) == pytest.approx(norm,
-                                                                rel=1e-9)
+                                                                rel=1e-13)
 
 
 class TestFitExponent:
@@ -372,15 +389,16 @@ class TestFitExponent:
 
 
 class TestSharedExponentials:
-    """A run's decay curves share one mode-exponential table per node count
-    and give the same values as one unshared `decay_curve` per query."""
+    """A run's decay curves share one mode-exponential table, which also
+    serves their refinement checks, and give the same values as one
+    unshared `decay_curve` per query."""
 
-    def test_pipeline_makes_two_exponentials(self, tmp_path, expm2_calls):
+    def test_pipeline_makes_one_exponential(self, tmp_path, expm2_calls):
         config = ExperimentConfig.from_file(BUNDLED)
         for run in ("first", "second"):
             expm2_calls.clear()
             run_pipeline(config, tmp_path / run)
-            assert len(expm2_calls) == 2, run
+            assert len(expm2_calls) == 1, run
         expm2_calls.clear()
         for label, query in config.decay_queries():
             times = config.decay_kwargs(label)["times"]
@@ -388,20 +406,23 @@ class TestSharedExponentials:
             written = np.loadtxt(tmp_path / "second" / f"decay_{label}.csv",
                                  delimiter=",", skiprows=1)
             assert np.array_equal(written, alone), label
-        assert len(expm2_calls) == 2 * len(config.decay_queries())
+        assert len(expm2_calls) == len(config.decay_queries())
 
-    def test_decay_gates_make_two_exponentials(self, expm2_calls):
+    def test_decay_gates_make_one_exponential(self, expm2_calls):
         gates = gates_decay_fits()
-        assert len(expm2_calls) == 2
+        assert len(expm2_calls) == 1
         assert all(g.passed for g in gates)
 
-    def test_sup_norm_curve_makes_two_exponentials(self, expm2_calls):
+    def test_sup_norm_curve_makes_one_exponential(self, expm2_calls):
         query = LinearDecayQuery(q=np.inf, component="velocity")
         times = np.geomspace(1e2, 1e4, 25)
         shared = decay_curve(query, times)
-        assert len(expm2_calls) == 2
-        c1, c2 = (np.array(decay_curve(replace(query, ell=ell, q=2.0), times))
+        assert len(expm2_calls) == 1
+        c1, c2 = (decay_curve(replace(query, ell=ell, q=2.0), times)
                   for ell in (1.0, 2.0))
-        assert len(expm2_calls) == 6
+        assert len(expm2_calls) == 3
         assert np.array_equal(np.array(shared)[:, 1],
-                              np.sqrt(c1[:, 1] * c2[:, 1]))
+                              np.sqrt(np.array(c1)[:, 1] * np.array(c2)[:, 1]))
+        assert shared.refinement_error == max(c1.refinement_error,
+                                              c2.refinement_error)
+        assert shared.tail_share == max(c1.tail_share, c2.tail_share)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -277,6 +282,31 @@ class TestNorms:
                 tracemalloc.stop()
             assert got == want
             assert peak <= bound * 8 * grid.npoints + 4096, (f.ncomp, peak)
+
+    def test_coeff_norm_bits_ignore_blas_threads(self):
+        # a threaded BLAS dot splits its sum by the thread count: on this
+        # 32^3 scalar field it read 15.74434976594989 on 1 thread and
+        # 15.744349765949892 on 2
+        code = """if True:
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            import numpy as np
+            from nsplab.spectral import Field, Grid, coeff_norm
+            grid = Grid(dim=3, n=32)
+            rng = np.random.default_rng(5)
+            for shape in (grid.shape, (3,) + grid.shape):
+                f = Field(grid, rng.normal(size=shape))
+                for k in (0, 2):
+                    print(repr(coeff_norm(grid, f.coefficients(), k)))
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = [subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True,
+            check=True, env=os.environ | {"OPENBLAS_NUM_THREADS": threads,
+                                          "OMP_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+        assert out[0].count("\n") == 4
+        assert out[0] == out[1]
 
     def test_grad_norm_matches_gradient(self):
         f = dealias(random_field(GRID3, 7))

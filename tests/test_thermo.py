@@ -155,9 +155,9 @@ class TestRemainder:
 
 
 def test_import_leaves_quadrature_unloaded(tmp_path):
-    # scipy.integrate is imported by PressureLaw.h and scipy.fft by the
-    # first transform, on first use only: `import nsplab` and a decay-only
-    # run load no scipy module at all
+    # scipy.integrate is imported by PressureLaw.h, scipy.fft by the first
+    # transform and numpy.polynomial by the first TabulatedLaw remainder,
+    # on first use only: `import nsplab` and a decay-only run load none
     import nsplab
     src = Path(nsplab.__file__).resolve().parents[1]
     config = src.parent / "configs" / "lemma44_p1.cfg"
@@ -165,17 +165,18 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
         import sys
         sys.path.insert(0, sys.argv[1])
 
-        def scipy_modules():
+        def lazy_modules():
             return [m for m in sys.modules
-                    if m == "scipy" or m.startswith("scipy.")]
+                    for lazy in ("scipy", "numpy.polynomial")
+                    if m == lazy or m.startswith(lazy + ".")]
 
         import nsplab
         assert nsplab.__file__.startswith(sys.argv[1])
-        assert scipy_modules() == [], scipy_modules()
+        assert lazy_modules() == [], lazy_modules()
         from nsplab import cli
         assert cli.main(["run", "--config", sys.argv[2],
                          "--output", sys.argv[3]]) == 0
-        assert scipy_modules() == [], scipy_modules()
+        assert lazy_modules() == [], lazy_modules()
         from nsplab import spectral
         grid = spectral.Grid(dim=1, n=8)
         spectral.transform(grid, grid.axes())
