@@ -131,9 +131,10 @@ def random_smooth_state(grid: Grid, seed: int = 0, amplitude: float = 1e-3,
 class Background:
     """What the constant-coefficient form needs of the steady state and the
     fluid, evaluated once: rho_s - rho_bar, h'(rho_s) - h'(rho_bar),
-    h'(rho_bar) and the real-layout symbols.  It also owns the work arrays
-    the Lawson step overwrites, sized once; its inverses run in place there
-    (``hat``: curl u, the viscous term and the inverse density)."""
+    h'(rho_bar) and the symbols, ``ik`` dense (twice as fast as per-axis
+    factors), and every array the Lawson step overwrites: its inverses run in
+    place in ``hat`` (curl u, the viscous term and the inverse density, or a
+    state's copy) into ``phys`` or ``mid``, its products into ``prod_hat``."""
 
     def __init__(self, ss: SteadyState, params: FluidParams):
         self.params = params
@@ -142,29 +143,36 @@ class Background:
         self.layout = lay = real_layout(grid)
         # complex: numpy casts a real factor of a complex product first
         self.mu_lap = (-params.mu * lay.kmag ** 2).astype(complex)
-        self.grad_div = [(params.mu + params.mu_prime) * ik for ik in lay.ik]
+        dim, half = grid.dim, lay.kmag.shape
+        self.ik = np.stack([np.broadcast_to(ik, half) for ik in lay.ik])
+        self.grad_div = (params.mu + params.mu_prime) * self.ik
         self.hp_bar = params.h_prime_bar
         self.carried = ss.rho_s.values - params.rho_bar
         self.hp_jump = np.asarray(params.law.h_prime(ss.rho_s.values)) - self.hp_bar
-        dim, half = grid.dim, lay.kmag.shape
         # axes (a, b) of each vorticity component omega_c = d_a u_b - d_b u_a
         self.curl = {1: (), 2: ((0, 1),), 3: ((1, 2), (2, 0), (0, 1))}[dim]
         self.hat = np.empty((len(self.curl) + dim + 1,) + half, dtype=complex)
-        self.state_hat = np.empty((1 + dim,) + half, dtype=complex)
         self.prod = np.empty((2 * dim + 1,) + grid.shape)
         self.work = np.empty((1 + dim,) + grid.shape)      # scalar, vector
         self.work_hat = np.empty((3,) + half, dtype=complex)
+        # the products' coefficients overwrite the samples they come from
+        self.prod_hat = np.empty(self.prod.shape[:-1] + half[-1:], dtype=complex)
+        self.phys = self.prod_hat.reshape(-1).view(float)[
+            :self.hat.shape[0] * grid.npoints].reshape(
+                self.hat.shape[:1] + grid.shape)
+        self.mid = np.empty((1 + dim,) + grid.shape)
 
 
 def _dot(kn, u_hat, plane):
-    return sum(kn[i] * u_hat[i][plane] for i in range(len(kn)))
+    """sum_i kn[i] u_hat[i] on one Nyquist plane, from 0 in i's order."""
+    return np.add.reduce(kn * u_hat[(slice(None),) + plane], axis=0, initial=0)
 
 
 def _viscous_hat(u_hat, bg: Background, out):
     """mu Lap u + (mu + mu') grad div u on the real layout, written into
     out; at Nyquist modes grad div keeps its even products (see
     `RealLayout`), added on the Nyquist planes alone."""
-    ik, mu_sum = bg.layout.ik, bg.params.mu + bg.params.mu_prime
+    ik, mu_sum = bg.ik, bg.params.mu + bg.params.mu_prime
     div, tmp = bg.work_hat[:2]
     np.multiply(ik[0], u_hat[0], out=div)
     for a in range(1, len(out)):
@@ -188,22 +196,24 @@ def nonlinear_terms(rho, u, u_hat, bg: Background):
     in one `dealias`, which transforms only the 2/3 ball; with `_state`, a
     3-D step transforms 38 scalar fields in 8 transforms.  The convective
     form u . grad u aliases alike only for u inside the ball (|m_a| <= n/3).
-    N1 and N2 are built in place in the forward transform's fresh output.
+    N1 and N2 are built in place in the forward transform's output,
+    bg.prod_hat, which u_hat may share (it is read first); they are views
+    that the next call with bg overwrites.
     """
-    grid, lay, params = bg.grid, bg.layout, bg.params
+    grid, params = bg.grid, bg.params
     dim, pairs = grid.dim, bg.curl
     hat, prod, tmp = bg.hat, bg.prod, bg.work_hat[0]
     s, vec = bg.work[0], bg.work[1:]
     for c, (a, b) in enumerate(pairs):
-        np.multiply(lay.ik[a], u_hat[b], out=hat[c])
-        hat[c] -= np.multiply(lay.ik[b], u_hat[a], out=tmp)
+        np.multiply(bg.ik[a], u_hat[b], out=hat[c])
+        hat[c] -= np.multiply(bg.ik[b], u_hat[a], out=tmp)
     _viscous_hat(u_hat, bg, hat[len(pairs):-1])
     # 1/(rho_s + rho) - 1/rho_bar multiplies visc, so it is dealiased first
     np.add(rho, bg.rho_s.values, out=s)
     np.divide(1.0, s, out=s)
     s -= 1.0 / params.rho_bar
     dealias(Field(grid, s), out=hat[-1])
-    phys = inverse_transform(grid, hat, overwrite=True)
+    phys = inverse_transform(grid, hat, overwrite=True, out=bg.phys)
     omega, visc, inv_jump = phys[:len(pairs)], phys[len(pairs):-1], phys[-1]
 
     R = remainder(params.law, Field(grid, rho), bg.rho_s).values
@@ -220,14 +230,13 @@ def nonlinear_terms(rho, u, u_hat, bg: Background):
     scal += R
     np.sum(np.multiply(u, u, out=vec), axis=0, out=s)
     scal += np.multiply(0.5, s, out=s)
-    del phys, omega, visc, inv_jump      # free before the forward transform
-    c = dealias(Field(grid, prod), coefficients=True)
+    c = dealias(Field(grid, prod), out=bg.prod_hat)
 
     # N2 = c_mom - ik c_scal, then N1 = -ik . c_flux over c_scal
     n1, n2 = c[2 * dim], c[dim:2 * dim]
     for a in range(dim):
-        n2[a] -= np.multiply(lay.ik[a], n1, out=tmp)
-        c[a] *= lay.ik[a]
+        n2[a] -= np.multiply(bg.ik[a], n1, out=tmp)
+        c[a] *= bg.ik[a]
     np.negative(np.sum(c[:dim], axis=0, out=n1), out=n1)
     return n1, n2
 
@@ -264,7 +273,7 @@ class Integrator:
         safe = np.where(zero, 1.0, lay.kmag)
         # khat without, and per Nyquist plane with only, its Nyquist entries
         self._khat = np.stack([ik.imag / safe for ik in lay.ik]).astype(complex)
-        self._khat_nyquist = [(plane, [k / safe[plane] for k in kn])
+        self._khat_nyquist = [(plane, kn / safe[plane])
                               for plane, kn in lay.nyquist]
         # dt and dt/2 propagators over the half grid in one call; the k = 0
         # mode is the identity (heat factor 1), so the velocity mean passes
@@ -289,11 +298,11 @@ class Integrator:
         rho_new[(0,) * self.grid.dim] = 0.0      # density zero mode pinned
         return rho_new, u_new
 
-    def _state(self, rho_hat, u_hat, t):
+    def _state(self, rho_hat, u_hat, t, out=None):
         # one in-place inverse of a copy; the state keeps rho_hat, u_hat
-        grid, work = self.grid, self.bg.state_hat
+        grid, work = self.grid, self.bg.hat[:1 + self.grid.dim]
         np.concatenate((rho_hat[None], u_hat), out=work)
-        values = inverse_transform(grid, work, overwrite=True)
+        values = inverse_transform(grid, work, overwrite=True, out=out)
         return PerturbationState(
             rho=Field(grid, values[0], _coeffs=rho_hat),
             u=Field(grid, values[1:], _coeffs=u_hat), t=t)
@@ -305,21 +314,21 @@ class Integrator:
                            state.t + self.dt)
 
     def step(self, state: PerturbationState) -> PerturbationState:
-        dt = self.dt
+        dt, bg = self.dt, self.bg
         rho0, u0 = state.coefficients()
-        n1, n2 = nonlinear_terms(state.rho.values, state.u.values, u0, self.bg)
+        n1, n2 = nonlinear_terms(state.rho.values, state.u.values, u0, bg)
 
-        # half step: U* = E(dt/2) (U + dt/2 N(U)), U + dt/2 N built in N
+        # half step: U* = E(dt/2) (U + dt/2 N(U)), built in N's buffer
         n1 *= 0.5 * dt
         n1 += rho0
         n2 *= 0.5 * dt
         n2 += u0
-        mid = self._state(*self._apply_linear(n1, n2, self._prop_half),
-                          state.t + 0.5 * dt)
-        del n1, n2                       # free N(U) before the second stage
+        mid = self._state(*self._apply_linear(n1, n2, self._prop_half,
+                                              in_place=True),
+                          state.t + 0.5 * dt, out=bg.mid)
         m1, m2 = self._apply_linear(
             *nonlinear_terms(mid.rho.values, mid.u.values,
-                             mid.u.coefficients(), self.bg),
+                             mid.u.coefficients(), bg),
             self._prop_half, in_place=True)
 
         rho_f, u_f = self._apply_linear(rho0, u0, self._prop_full)

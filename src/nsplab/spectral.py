@@ -10,9 +10,9 @@ real-FFT half grid (n, ..., n, n/2 + 1) of `transform`/`inverse_transform`
 and `Field.coefficients()`, whose symbols are `real_layout`'s (``ik`` and
 ``k_nyquist`` as per-axis factors that broadcast against it).  The
 multipliers, the norms and the time integrator all work there.  Every
-transform goes through `scipy.fft`, which the first transform imports:
-`import nsplab` loads no scipy module, and a run that makes no FFT never
-does.
+transform goes through `numpy.fft` (numpy >= 2.0, for ``out=``), in
+scipy's `rfftn`/`irfftn` pass order and so with its bits; `np.fft` loads
+on the first transform, so `import nsplab` loads neither it nor scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache, reduce
 from math import isclose
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "Grid",
@@ -118,11 +117,11 @@ class RealLayout:
     def nyquist(self):
         """Per axis a, the index of its Nyquist plane |m_a| = n/2 in a
         half-grid scalar, the only entries where ``k_nyquist[a]`` is
-        nonzero, and the ``k_nyquist`` components on that plane (views)."""
+        nonzero, and the ``k_nyquist`` components on that plane, stacked."""
         shape, half = self.kmag.shape, self.kmag.shape[-1] - 1    # n/2
         planes = [(slice(None),) * a + (half,) for a in range(len(shape))]
-        return [(p, [np.broadcast_to(k, shape)[p] for k in self.k_nyquist])
-                for p in planes]
+        return [(p, np.stack([np.broadcast_to(k, shape)[p]
+                              for k in self.k_nyquist])) for p in planes]
 
 
 @lru_cache(maxsize=32)
@@ -185,34 +184,30 @@ class Field:
         return float(self.values.mean())
 
 
-def _axes(grid):
-    return tuple(range(-grid.dim, 0))
-
-
 def transform(grid: Grid, values: np.ndarray) -> np.ndarray:
-    """Real-layout coefficients of real samples, normalized by 1/n^dim;
-    leading axes (vector components, stacked fields) are transformed
-    independently."""
-    import scipy.fft
-    return scipy.fft.rfftn(values, s=grid.shape, axes=_axes(grid),
-                           norm="forward")
+    """Real-layout coefficients of real samples, normalized by 1/n^dim, per
+    leading index (vector components, stacked fields): an `rfft` on the last
+    axis, then an in-place c2c pass per other axis, first to last, as in
+    scipy's `rfftn` (`numpy.fft.rfftn` goes last to first, other bits)."""
+    c = np.fft.rfft(values, axis=-1, norm="forward")
+    for axis in range(-grid.dim, -1):
+        np.fft.fft(c, axis=axis, norm="forward", out=c)
+    return c
 
 
-def inverse_transform(grid: Grid, coeffs: np.ndarray,
-                      overwrite: bool = False) -> np.ndarray:
-    """Real samples from real-layout coefficients (inverse of `transform`).
-    With ``overwrite`` the leading-axes pass runs in place in ``coeffs``, then
-    a last-axis `irfft`: scipy's passes without its hidden copy, same bits.
-    The Lawson step's work arrays (states from a copy), the multipliers'
-    products and the temporaries of `dealias` and `w2r_norm` are inverted
-    so; the steady iterate, kept as `SteadyState.f`'s coefficients, is not."""
-    import scipy.fft
+def inverse_transform(grid: Grid, coeffs: np.ndarray, overwrite: bool = False,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Real samples from real-layout coefficients (inverse of `transform`):
+    an in-place `ifft` per leading axis, first to last, then a last-axis
+    `irfft` into ``out`` or a fresh array, scipy's `irfftn` passes and bits.
+    Without ``overwrite`` the passes run on a copy (a pass into another
+    array is slower than a copy and a pass in place); the steady iterate,
+    kept as `SteadyState.f`'s coefficients, is inverted so."""
     if not overwrite:
-        return scipy.fft.irfftn(coeffs, s=grid.shape, axes=_axes(grid),
-                                norm="forward")
-    coeffs = scipy.fft.ifftn(coeffs, axes=_axes(grid)[:-1],  # none in 1-D
-                             norm="forward", overwrite_x=True)
-    return scipy.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward")
+        coeffs = coeffs.copy()
+    for axis in range(-grid.dim, -1):
+        np.fft.ifft(coeffs, axis=axis, norm="forward", out=coeffs)
+    return np.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward", out=out)
 
 
 def _require_mean_zero(f, what):
@@ -372,29 +367,25 @@ def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float):
 
 def dealias(f: Field, out: np.ndarray | None = None, coefficients=False):
     """Truncate a field to the 2/3-rule ball |m_a| <= n/3, transforming
-    only the ball: an `rfft` keeps the last axis's n/3 + 1 columns, then a
-    c2c pass per other axis, first to last, over the ball rows of the axes
-    before it.  That is scipy's pass order and the grids' power-of-two
-    scalings are exact, so this is ``transform(...) * mask`` bit for bit.
-    The coefficients go into ``out`` (real layout), or with ``coefficients``
-    stay in the `rfft`'s output; otherwise they are inverted in place."""
-    import scipy.fft
-    n, k = f.grid.n, f.grid.n // 3
-    c = scipy.fft.rfft(f.values, axis=-1, norm="forward")
-    if out is not None:
-        out[..., :k + 1] = c[..., :k + 1]
-        c = out
+    little beyond it: an `rfft` on the last axis, then an in-place c2c pass
+    per other axis, first to last, the first over every column (numpy then
+    runs one stretch of lines per field), the others over the ball's n/3 + 1
+    columns and rows (0..n/3 and n - n/3..n - 1) of the axes done.  That is
+    `transform`'s pass order, so this is ``transform(...) * mask`` bit for
+    bit.  The coefficients go into ``out`` (real layout), or with
+    ``coefficients`` stay in the `rfft`'s output; else they are inverted in
+    place."""
+    dim, n, k = f.grid.dim, f.grid.n, f.grid.n // 3
+    c = np.fft.rfft(f.values, axis=-1, norm="forward", out=out)
+    blocks = [c]
+    for axis in range(-dim, -1):
+        for rows in blocks:
+            np.fft.fft(rows, axis=axis, norm="forward", out=rows)
+        after = (slice(None),) * (-axis - 1)
+        c[(Ellipsis, slice(k + 1, n - k)) + after] = 0.0
+        blocks = [b[(Ellipsis, part) + after[1:] + (slice(k + 1),)]
+                  for b in blocks for part in (slice(k + 1), slice(n - k, n))]
     c[..., k + 1:] = 0.0
-    ball = c[..., :k + 1]
-    for axis in range(-f.grid.dim, -1):
-        rows = ball   # each axis done: its rows 0..k and n-k-1 (zero)..n-1
-        for done in range(-f.grid.dim, axis):
-            sh, st, a = rows.shape, rows.strides, rows.ndim + done
-            rows = as_strided(rows, sh[:a] + (2, k + 1) + sh[a + 1:], st[:a]
-                              + ((n - k - 1) * st[a], st[a]) + st[a + 1:])
-        # a complex view with overwrite_x is transformed in its own memory
-        scipy.fft.fft(rows, axis=axis, norm="forward", overwrite_x=True)
-        np.moveaxis(ball, axis, 0)[k + 1:n - k] = 0.0
     if out is not None or coefficients:
         return c
     return Field(f.grid, inverse_transform(f.grid, c, overwrite=True))

@@ -483,16 +483,22 @@ class TestCli:
 
     def test_run_transforms_on_the_half_grid_only(self, tmp_path, monkeypatch):
         # the steady solve, verify_steady, the evolution and its reports:
-        # no full-grid transform, and every ifftn is the leading-axes pass
-        # of an inverse whose input is on the half grid
+        # no scipy.fft call and no full-grid transform: every complex pass
+        # runs on the half grid, a forward one of `dealias` on its 2/3 ball
+        import numpy.fft
         import scipy.fft
-        shapes = {"fftn": [], "ifftn": []}
-        for name in shapes:
-            def counted(x, *args, _fn=getattr(scipy.fft, name),
-                        _seen=shapes[name], **kwargs):
+        shapes = {"fft": [], "ifft": [], "scipy.fft": []}
+        for mod, name, seen in ((numpy.fft, "fft", shapes["fft"]),
+                                (numpy.fft, "ifft", shapes["ifft"]),
+                                *((scipy.fft, name, shapes["scipy.fft"])
+                                  for name in ("fft", "ifft", "rfft", "irfft",
+                                               "fftn", "ifftn", "rfftn",
+                                               "irfftn"))):
+            def counted(x, *args, _fn=getattr(mod, name), _seen=seen,
+                        **kwargs):
                 _seen.append(np.shape(x))
                 return _fn(x, *args, **kwargs)
-            monkeypatch.setattr(scipy.fft, name, counted)
+            monkeypatch.setattr(mod, name, counted)
         cfg_path = tmp_path / "cube.cfg"
         cfg_path.write_text(BUMP.replace("dim = 2", "dim = 3")
                             + "\n[initial]\npreset = random-smooth\nseed = 3\n"
@@ -502,9 +508,11 @@ class TestCli:
                      "--output", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "steady.json").exists()
         assert (tmp_path / "out" / "energy.csv").read_text().count("\n") == 5
-        assert shapes["fftn"] == []
-        assert shapes["ifftn"] and all(shape[-1] == 16 // 2 + 1
-                                       for shape in shapes["ifftn"])
+        assert shapes["scipy.fft"] == []
+        assert {shape[-1] for shape in shapes["fft"]} == {16 // 2 + 1,
+                                                          16 // 3 + 1}
+        assert shapes["ifft"] and all(shape[-1] == 16 // 2 + 1
+                                      for shape in shapes["ifft"])
 
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

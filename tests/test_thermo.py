@@ -155,9 +155,10 @@ class TestRemainder:
 
 
 def test_import_leaves_quadrature_unloaded(tmp_path):
-    # scipy.integrate is imported by PressureLaw.h, scipy.fft by the first
+    # scipy.integrate is imported by PressureLaw.h, numpy.fft by the first
     # transform and numpy.polynomial by the first TabulatedLaw remainder,
-    # on first use only: `import nsplab` and a decay-only run load none
+    # on first use only: `import nsplab` and a decay-only run load none, and
+    # a transform or a whole `nsplab steady` loads numpy.fft but no scipy
     import nsplab
     src = Path(nsplab.__file__).resolve().parents[1]
     config = src.parent / "configs" / "lemma44_p1.cfg"
@@ -165,22 +166,25 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
         import sys
         sys.path.insert(0, sys.argv[1])
 
-        def lazy_modules():
-            return [m for m in sys.modules
-                    for lazy in ("scipy", "numpy.polynomial")
-                    if m == lazy or m.startswith(lazy + ".")]
+        def lazy_modules(lazy=("scipy", "numpy.polynomial", "numpy.fft")):
+            return [m for m in sys.modules for name in lazy
+                    if m == name or m.startswith(name + ".")]
 
         import nsplab
         assert nsplab.__file__.startswith(sys.argv[1])
         assert lazy_modules() == [], lazy_modules()
         from nsplab import cli
         assert cli.main(["run", "--config", sys.argv[2],
-                         "--output", sys.argv[3]]) == 0
+                         "--output", sys.argv[3] + "/decay"]) == 0
         assert lazy_modules() == [], lazy_modules()
         from nsplab import spectral
         grid = spectral.Grid(dim=1, n=8)
         spectral.transform(grid, grid.axes())
-        assert "scipy.fft" in sys.modules
+        assert "numpy.fft" in sys.modules
+        assert lazy_modules(("scipy",)) == [], lazy_modules(("scipy",))
+        assert cli.main(["steady", "--dim", "3", "--n", "16",
+                         "--output", sys.argv[3] + "/steady"]) == 0
+        assert lazy_modules(("scipy",)) == [], lazy_modules(("scipy",))
     """
     proc = subprocess.run([sys.executable, "-c", code, str(src), str(config),
                            str(tmp_path / "out")], capture_output=True, text=True)
