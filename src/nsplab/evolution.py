@@ -208,15 +208,16 @@ def nonlinear_terms(rho, u, u_hat, bg: Background):
         np.multiply(bg.ik[a], u_hat[b], out=hat[c])
         hat[c] -= np.multiply(bg.ik[b], u_hat[a], out=tmp)
     _viscous_hat(u_hat, bg, hat[len(pairs):-1])
-    # 1/(rho_s + rho) - 1/rho_bar multiplies visc, so it is dealiased first
-    np.add(rho, bg.rho_s.values, out=s)
+    # 1/(rho_s + rho) - 1/rho_bar multiplies visc, so it is dealiased
+    # first; R is read from the same total, which it checks positive
+    R = remainder(params.law, Field(grid, rho), bg.rho_s,
+                  total=np.add(rho, bg.rho_s.values, out=s)).values
     np.divide(1.0, s, out=s)
     s -= 1.0 / params.rho_bar
     dealias(Field(grid, s), out=hat[-1])
     phys = inverse_transform(grid, hat, overwrite=True, out=bg.phys)
     omega, visc, inv_jump = phys[:len(pairs)], phys[len(pairs):-1], phys[-1]
 
-    R = remainder(params.law, Field(grid, rho), bg.rho_s).values
     # [(rho + rho_s - rho_bar) u, inv_jump visc + u x omega,
     #  R + (h'(rho_s) - h'(rho_bar)) rho + |u|^2 / 2]
     flux, mom, scal = prod[:dim], prod[dim:2 * dim], prod[2 * dim]

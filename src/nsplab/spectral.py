@@ -13,13 +13,26 @@ multipliers, the norms and the time integrator all work there.  Every
 transform goes through `numpy.fft` (numpy >= 2.0, for ``out=``), in
 scipy's `rfftn`/`irfftn` pass order and so with its bits; `np.fft` loads
 on the first transform, so `import nsplab` loads neither it nor scipy.
+
+`transform`, `inverse_transform` and `dealias` split a batch of fields
+(a leading axis of at least 2) of more than `_SPLIT_POINTS` sample points
+in all, when the process may run on at least 2 CPUs (its affinity, or
+`os.cpu_count()` where the OS has none), between the calling
+thread, which takes the first ceil(F/2) fields, and one helper thread,
+started on the first split, which takes the rest.  Each half runs the
+same passes as the whole batch, and pocketfft transforms each 1-D line
+on its own, so a split output has the bits of the unsplit one.  A caller
+that finds the helper in use by another thread runs its batch whole; one
+interrupted while it waits raises the interrupt once the helper is done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache, reduce
-from math import isclose
+from math import isclose, prod
+import os
+import threading
 
 import numpy as np
 
@@ -184,15 +197,137 @@ class Field:
         return float(self.values.mean())
 
 
+# Sample points above which a batch is split: on a 2-vCPU host 4 x 128^2
+# and 2 x 32^3 (2^16 each) ran slower split, 4 x 32^3 and 7 x 32^3 faster;
+# waking the helper and moving its half between the cores cost 0.1-0.3 ms.
+# `nsplab verify` (batches of up to 4 x 16^3) took a median 20.6 s of wall
+# time with this bound and 22.2 s splitting every batch (10 alternating
+# runs each, 7 faster with the bound).
+_SPLIT_POINTS = 2 ** 16
+
+
+class _Helper:
+    """The helper thread that transforms the last fields of a split batch,
+    started on first use.  ``busy`` is held by the one caller it serves."""
+
+    def __init__(self):
+        import queue    # only where a batch is split
+        self.busy = threading.Lock()
+        self._jobs, self._done = queue.SimpleQueue(), queue.SimpleQueue()
+        self._posted = self._finished = 0
+        self._error = None
+        self._thread = threading.Thread(target=self._serve, daemon=True,
+                                        name="nsplab.spectral helper")
+        self._thread.start()
+
+    def _serve(self):
+        while True:
+            job = self._jobs.get()
+            try:
+                job()
+            except BaseException as exc:    # raised again by the caller
+                self._error = exc
+            job = None                      # it holds views of the batch
+            self._finished += 1
+            self._done.put(None)
+
+    def run(self, job, own):
+        """job() on the helper while own() runs here; waits for job, also
+        if own raises or interrupts arrive meanwhile, then raises job's
+        error, if any, else the first interrupt."""
+        self._error, self._posted = None, self._posted + 1
+        try:
+            self._jobs.put(job)
+            own()
+        finally:
+            # `_finished`, not a get, tells that the job is done, since an
+            # interrupt may land after a get returns; puts of counted jobs
+            # are drained here, or by the next wait if not yet made
+            interrupt = None
+            while self._finished != self._posted or not self._done.empty():
+                try:
+                    self._done.get()
+                except BaseException as exc:
+                    interrupt = interrupt or exc
+            error, self._error = self._error, None
+            if error is not None:
+                raise error
+            if interrupt is not None:
+                raise interrupt
+
+
+_helper, _helper_lock = None, threading.Lock()
+
+
+def _get_helper():
+    global _helper
+    with _helper_lock:
+        if _helper is None:
+            _helper = _Helper()
+        return _helper
+
+
+def _forget_helper():
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):     # a forked child has no helper thread
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _cpus():
+    """CPUs the process may run on (all of them without an affinity call)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _by_fields(grid, fn, *arrays):
+    """fn(grid, *arrays), which returns its output, the last array, split
+    by fields (the first axis) between this thread and the helper where
+    that pays: a batch of at least 2 fields of more than `_SPLIT_POINTS`
+    points in all, at least 2 CPUs for the process, and the helper not
+    serving another thread."""
+    lead = arrays[0].shape[:arrays[0].ndim - grid.dim]
+    if (len(lead) == 0 or lead[0] < 2
+            or prod(lead) * grid.npoints <= _SPLIT_POINTS or _cpus() < 2):
+        return fn(grid, *arrays)
+    helper = _get_helper()
+    if not helper.busy.acquire(blocking=False):
+        return fn(grid, *arrays)
+    h = (lead[0] + 1) // 2
+    try:
+        helper.run(lambda: fn(grid, *[a[h:] for a in arrays]),
+                   lambda: fn(grid, *[a[:h] for a in arrays]))
+    finally:
+        helper.busy.release()
+    return arrays[-1]
+
+
+def _half_grid(grid, values):
+    return np.empty(values.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+
+
+def _transform(grid, values, c):
+    np.fft.rfft(values, axis=-1, norm="forward", out=c)
+    for axis in range(-grid.dim, -1):
+        np.fft.fft(c, axis=axis, norm="forward", out=c)
+    return c
+
+
 def transform(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Real-layout coefficients of real samples, normalized by 1/n^dim, per
     leading index (vector components, stacked fields): an `rfft` on the last
     axis, then an in-place c2c pass per other axis, first to last, as in
     scipy's `rfftn` (`numpy.fft.rfftn` goes last to first, other bits)."""
-    c = np.fft.rfft(values, axis=-1, norm="forward")
+    return _by_fields(grid, _transform, values, _half_grid(grid, values))
+
+
+def _inverse(grid, coeffs, out):
     for axis in range(-grid.dim, -1):
-        np.fft.fft(c, axis=axis, norm="forward", out=c)
-    return c
+        np.fft.ifft(coeffs, axis=axis, norm="forward", out=coeffs)
+    return np.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward", out=out)
 
 
 def inverse_transform(grid: Grid, coeffs: np.ndarray, overwrite: bool = False,
@@ -205,9 +340,11 @@ def inverse_transform(grid: Grid, coeffs: np.ndarray, overwrite: bool = False,
     kept as `SteadyState.f`'s coefficients, is inverted so."""
     if not overwrite:
         coeffs = coeffs.copy()
-    for axis in range(-grid.dim, -1):
-        np.fft.ifft(coeffs, axis=axis, norm="forward", out=coeffs)
-    return np.fft.irfft(coeffs, n=grid.n, axis=-1, norm="forward", out=out)
+    if out is None and coeffs.ndim > grid.dim:
+        # a split writes into halves of out; a scalar's irfft allocates it
+        # after the passes (before them, steady-64 read 2-4% slower)
+        out = np.empty(coeffs.shape[:-1] + (grid.n,))
+    return _by_fields(grid, _inverse, coeffs, out)
 
 
 def _require_mean_zero(f, what):
@@ -365,6 +502,21 @@ def gn_interpolation_check(f: Field, alpha: float, beta: float, gamma: float):
     return ratio <= 1.0 + 1e-12, float(ratio)
 
 
+def _dealias(grid, values, c):
+    dim, n, k = grid.dim, grid.n, grid.n // 3
+    np.fft.rfft(values, axis=-1, norm="forward", out=c)
+    blocks = [c]
+    for axis in range(-dim, -1):
+        for rows in blocks:
+            np.fft.fft(rows, axis=axis, norm="forward", out=rows)
+        after = (slice(None),) * (-axis - 1)
+        c[(Ellipsis, slice(k + 1, n - k)) + after] = 0.0
+        blocks = [b[(Ellipsis, part) + after[1:] + (slice(k + 1),)]
+                  for b in blocks for part in (slice(k + 1), slice(n - k, n))]
+    c[..., k + 1:] = 0.0
+    return c
+
+
 def dealias(f: Field, out: np.ndarray | None = None, coefficients=False):
     """Truncate a field to the 2/3-rule ball |m_a| <= n/3, transforming
     little beyond it: an `rfft` on the last axis, then an in-place c2c pass
@@ -375,17 +527,8 @@ def dealias(f: Field, out: np.ndarray | None = None, coefficients=False):
     bit.  The coefficients go into ``out`` (real layout), or with
     ``coefficients`` stay in the `rfft`'s output; else they are inverted in
     place."""
-    dim, n, k = f.grid.dim, f.grid.n, f.grid.n // 3
-    c = np.fft.rfft(f.values, axis=-1, norm="forward", out=out)
-    blocks = [c]
-    for axis in range(-dim, -1):
-        for rows in blocks:
-            np.fft.fft(rows, axis=axis, norm="forward", out=rows)
-        after = (slice(None),) * (-axis - 1)
-        c[(Ellipsis, slice(k + 1, n - k)) + after] = 0.0
-        blocks = [b[(Ellipsis, part) + after[1:] + (slice(k + 1),)]
-                  for b in blocks for part in (slice(k + 1), slice(n - k, n))]
-    c[..., k + 1:] = 0.0
+    c = _by_fields(f.grid, _dealias, f.values,
+                   _half_grid(f.grid, f.values) if out is None else out)
     if out is not None or coefficients:
         return c
     return Field(f.grid, inverse_transform(f.grid, c, overwrite=True))

@@ -156,11 +156,10 @@ def _remainder_gamma(gamma, rho_s, total):
     it is summed as the binomial series sum_{j>=2} c_j x^j,
     c_2 = (p - 1) / 2, c_{j+1} = c_j (p - j) / (j + 1).  Beyond, the
     numerator is expm1(p L) - p x, L = log1p(x), or for p > 1/2, where that
-    cancels as p -> 1, (1 + x) expm1((p - 1) L) - (p - 1) x.
+    cancels as p -> 1, (1 + x) expm1((p - 1) L) - (p - 1) x.  At
+    gamma = 2, R = 0, which `remainder` returns without this.
     """
     g = gamma
-    if g == 2.0:
-        return np.zeros_like(np.asarray(total, dtype=float))
     p = g - 1.0
     rho_s = np.asarray(rho_s, dtype=float)
     x = np.asarray((total - rho_s) / rho_s, dtype=float)
@@ -195,7 +194,8 @@ def _remainder_gamma(gamma, rho_s, total):
     return np.multiply(out, g * rho_s ** p, out=out)
 
 
-def remainder(law: PressureLaw, pert: Field, rho_s: Field | float) -> Field:
+def remainder(law: PressureLaw, pert: Field, rho_s: Field | float,
+              total: np.ndarray | None = None) -> Field:
     """Second-order Taylor residue of h around rho_s (a field, or a
     constant density such as rho_bar):
 
@@ -203,12 +203,18 @@ def remainder(law: PressureLaw, pert: Field, rho_s: Field | float) -> Field:
 
     so that h(pert + rho_s) = h(rho_s) + h'(rho_s) pert + R exactly.
     Closed form for gamma laws, fixed-order Gauss quadrature otherwise.
+    ``total``, pert + rho_s where the caller has formed it already, is read
+    instead of forming it again; it is checked positive either way.  At
+    gamma = 2, R = 0, and the values are a read-only zero view.
     """
     rho_s = rho_s.values if isinstance(rho_s, Field) else float(rho_s)
-    total = pert.values + rho_s
+    if total is None:
+        total = pert.values + rho_s
     _check_positive(total, "total density")
-    if isinstance(law, GammaLaw):
-        vals = _remainder_gamma(law.gamma, rho_s, total)
-    else:
+    if not isinstance(law, GammaLaw):
         vals = _remainder_quadrature(law, rho_s, total)
+    elif law.gamma == 2.0:
+        vals = np.broadcast_to(0.0, pert.values.shape)
+    else:
+        vals = _remainder_gamma(law.gamma, rho_s, total)
     return Field(pert.grid, vals)

@@ -1,6 +1,9 @@
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fullgrid
+from nsplab import spectral
 from nsplab.spectral import (Field, Grid, MeanZeroError, coeff_norm, dealias,
                              divergence, frac_derivative,
                              gn_interpolation_check, grad_norm, gradient,
@@ -89,15 +93,17 @@ class TestTransforms:
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_bits_equal_scipy(self, dim, n):
+    def test_bits_equal_scipy(self, dim, n, monkeypatch):
         # numpy.fft in scipy's pass order gives scipy's rfftn and irfftn
         # bit for bit: the transform, both inverse paths and the three
-        # `dealias` returns, on scalar and stacked samples
+        # `dealias` returns, on scalar and stacked samples; 7 fields of 32^3
+        # and 64^3 are split between two threads
         import scipy.fft
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         grid = Grid(dim=dim, n=n)
         axes = tuple(range(-dim, 0))
         rng = np.random.default_rng(100 * n + dim)
-        for lead in ((), (3,)):
+        for lead in ((), (3,), (7,)):
             values = rng.normal(size=lead + grid.shape)
             want = scipy.fft.rfftn(values, axes=axes, norm="forward")
             np.testing.assert_array_equal(transform(grid, values), want)
@@ -405,14 +411,16 @@ class TestDealias:
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_coefficients_equal_masked_transform(self, dim, n):
+    def test_coefficients_equal_masked_transform(self, dim, n, monkeypatch):
         # only the 2/3 ball is transformed, yet the coefficients are the
         # full transform times the mask bit for bit, on scalar and stacked
-        # samples with Nyquist content, and 0 outside the ball where out
-        # held garbage
+        # samples with Nyquist content (7 fields of 32^3 and 64^3 split
+        # between two threads), and 0 outside the ball where out held
+        # garbage
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         grid = Grid(dim=dim, n=n)
         rng = np.random.default_rng(10 * n + dim)
-        for lead in ((), (3,)):
+        for lead in ((), (3,), (7,)):
             values = rng.normal(size=lead + grid.shape)
             full = transform(grid, values)
             assert np.min(np.abs(full[..., -1])) > 0.0     # Nyquist content
@@ -429,3 +437,201 @@ class TestDealias:
         x = g.axes()
         f = Field(g, np.cos(2.0 * x))
         np.testing.assert_allclose(dealias(f).values, f.values, atol=1e-14)
+
+
+GRID32 = Grid(dim=3, n=32)
+
+
+class TestSplit:
+    """A batch of 7 fields of 32^3 is split between the calling thread and
+    the helper thread whenever the process may use two CPUs."""
+
+    @pytest.fixture
+    def batch(self, monkeypatch):
+        import scipy.fft
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        values = np.random.default_rng(32).normal(size=(7,) + GRID32.shape)
+        coeffs = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+        return values, coeffs, scipy.fft.irfftn(
+            coeffs, s=GRID32.shape, axes=(-3, -2, -1), norm="forward")
+
+    @pytest.mark.parametrize("in_helper", [True, False],
+                             ids=["helper", "caller"])
+    def test_error_in_a_half_reaches_caller(self, batch, monkeypatch,
+                                            in_helper):
+        # the caller waits for the helper's half even when its own half
+        # fails (the helper's is made slow), raises the error of either,
+        # and the next call gets the bits of a clean one
+        import numpy.fft
+        values, coeffs, back = batch
+        ifft = numpy.fft.ifft
+
+        def failing(*args, **kwargs):
+            in_caller = threading.current_thread() is threading.main_thread()
+            if in_caller != in_helper:
+                raise FloatingPointError("half failed")
+            if not in_caller:
+                time.sleep(0.05)                        # a slow helper
+            return ifft(*args, **kwargs)
+
+        monkeypatch.setattr(numpy.fft, "ifft", failing)
+        with pytest.raises(FloatingPointError, match="half failed"):
+            inverse_transform(GRID32, coeffs)
+        helper = spectral._helper                       # it is idle
+        assert helper._finished == helper._posted
+        monkeypatch.setattr(numpy.fft, "ifft", ifft)
+        np.testing.assert_array_equal(inverse_transform(GRID32, coeffs),
+                                      back)
+        np.testing.assert_array_equal(transform(GRID32, values), coeffs)
+
+    def test_interrupt_while_waiting_leaves_helper_usable(self, batch,
+                                                          monkeypatch):
+        # interrupts (here two, raised by a SIGALRM handler) that reach the
+        # caller while it waits for a slow helper are raised after the
+        # helper's half ends, so the next call finds the helper idle
+        import numpy.fft
+        values, coeffs, _ = batch
+        rfft = numpy.fft.rfft
+        hits = []
+
+        def slow(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.3)
+            return rfft(*args, **kwargs)
+
+        def interrupt(signum, frame):
+            hits.append(signum)
+            if len(hits) == 1:      # a second one hits the retried wait
+                signal.setitimer(signal.ITIMER_REAL, 0.1)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(numpy.fft, "rfft", slow)
+        handler = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(KeyboardInterrupt):
+                transform(GRID32, values)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, handler)
+        assert len(hits) == 2
+        helper = spectral._helper
+        assert helper._finished == helper._posted
+        monkeypatch.setattr(numpy.fft, "rfft", rfft)
+        for _ in range(3):
+            np.testing.assert_array_equal(transform(GRID32, values), coeffs)
+
+    def test_waits_take_their_notices(self, batch, monkeypatch):
+        # a helper that ends first leaves its "done" notice queued; the
+        # wait takes it (one may still be on its way), so none pile up
+        import numpy.fft
+        values, coeffs, _ = batch
+        rfft = numpy.fft.rfft
+
+        def slow(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.005)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(numpy.fft, "rfft", slow)
+        for _ in range(5):
+            np.testing.assert_array_equal(transform(GRID32, values), coeffs)
+        assert spectral._helper._done.qsize() <= 1
+
+    def test_threads_transforming_at_once_keep_their_bits(self, batch):
+        # the helper serves one caller at a time; the others run whole
+        values = batch[0]
+        inputs = [values * (i + 1) + i for i in range(3)]
+        wants = [transform(GRID32, v) for v in inputs]
+        start, errors = threading.Barrier(len(inputs)), []
+
+        def work(v, want):
+            try:
+                start.wait(timeout=30)
+                for _ in range(20):
+                    np.testing.assert_array_equal(transform(GRID32, v), want)
+                    np.testing.assert_array_equal(
+                        dealias(Field(GRID32, v), coefficients=True),
+                        want * real_layout(GRID32).mask)
+            except BaseException as exc:    # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=pair, daemon=True)
+                   for pair in zip(inputs, wants)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+
+    def test_forked_child_transforms(self, batch):
+        # the helper thread is not forked: the child starts its own
+        values, coeffs, _ = batch
+        np.testing.assert_array_equal(transform(GRID32, values), coeffs)
+        assert spectral._helper is not None
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(30)            # a child that hangs is killed
+                code = 0 if np.array_equal(transform(GRID32, values),
+                                           coeffs) else 2
+            finally:
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_one_cpu_starts_no_thread(self, batch, monkeypatch):
+        values, coeffs, back = batch
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(spectral, "_helper", None)
+        threads = threading.active_count()
+        np.testing.assert_array_equal(transform(GRID32, values), coeffs)
+        np.testing.assert_array_equal(inverse_transform(GRID32, coeffs),
+                                      back)
+        np.testing.assert_array_equal(
+            dealias(Field(GRID32, values), coefficients=True),
+            coeffs * real_layout(GRID32).mask)
+        assert spectral._helper is None
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_without_affinity_call(self, batch, monkeypatch, cpus):
+        # where os has no sched_getaffinity, os.cpu_count decides; the
+        # bits are the same either way
+        values, coeffs, back = batch
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(spectral, "_helper", None)
+        np.testing.assert_array_equal(transform(GRID32, values), coeffs)
+        np.testing.assert_array_equal(inverse_transform(GRID32, coeffs),
+                                      back)
+        assert (spectral._helper is not None) == (cpus > 1)
+
+    def test_import_without_posix_calls(self):
+        # an os without register_at_fork and sched_getaffinity imports
+        # nsplab and splits a batch with the same bits
+        code = """if True:
+            import os
+            del os.register_at_fork, os.sched_getaffinity
+            os.cpu_count = lambda: 2
+            import numpy as np, scipy.fft
+            from nsplab import spectral
+            grid = spectral.Grid(dim=3, n=32)
+            values = np.random.default_rng(3).normal(size=(7,) + grid.shape)
+            want = scipy.fft.rfftn(values, axes=(-3, -2, -1), norm="forward")
+            assert np.array_equal(spectral.transform(grid, values), want)
+            assert spectral._helper is not None
+            """
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

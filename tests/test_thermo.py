@@ -158,7 +158,10 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
     # scipy.integrate is imported by PressureLaw.h, numpy.fft by the first
     # transform and numpy.polynomial by the first TabulatedLaw remainder,
     # on first use only: `import nsplab` and a decay-only run load none, and
-    # a transform or a whole `nsplab steady` loads numpy.fft but no scipy
+    # a transform or a whole `nsplab steady` loads numpy.fft but no scipy.
+    # Nothing starts a thread: the import loads only nsplab and the
+    # standard-library modules it imports, and a steady solve makes only
+    # scalar transforms, which run unsplit
     import nsplab
     src = Path(nsplab.__file__).resolve().parents[1]
     config = src.parent / "configs" / "lemma44_p1.cfg"
@@ -170,13 +173,23 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
             return [m for m in sys.modules for name in lazy
                     if m == name or m.startswith(name + ".")]
 
+        import threading
+        import numpy
+        before = set(sys.modules)
         import nsplab
         assert nsplab.__file__.startswith(sys.argv[1])
         assert lazy_modules() == [], lazy_modules()
+        stdlib = {"__future__", "_json", "copy", "dataclasses", "json",
+                  "json.decoder", "json.encoder", "json.scanner"}
+        added = {m for m in set(sys.modules) - before
+                 if m.split(".")[0] != "nsplab"}
+        assert added <= stdlib, added - stdlib
+        assert threading.active_count() == 1
         from nsplab import cli
         assert cli.main(["run", "--config", sys.argv[2],
                          "--output", sys.argv[3] + "/decay"]) == 0
         assert lazy_modules() == [], lazy_modules()
+        assert threading.active_count() == 1
         from nsplab import spectral
         grid = spectral.Grid(dim=1, n=8)
         spectral.transform(grid, grid.axes())
@@ -185,6 +198,9 @@ def test_import_leaves_quadrature_unloaded(tmp_path):
         assert cli.main(["steady", "--dim", "3", "--n", "16",
                          "--output", sys.argv[3] + "/steady"]) == 0
         assert lazy_modules(("scipy",)) == [], lazy_modules(("scipy",))
+        assert cli.main(["steady", "--dim", "2", "--n", "256",
+                         "--output", sys.argv[3] + "/steady2"]) == 0
+        assert threading.active_count() == 1
     """
     proc = subprocess.run([sys.executable, "-c", code, str(src), str(config),
                            str(tmp_path / "out")], capture_output=True, text=True)
